@@ -210,9 +210,12 @@ let serve_bench args ~jobs =
           queue_capacity = max instances 1;
           batch = 256;
           inject;
-          (* Short deadline: chaos hangs spin until the watchdog fires,
-             so the timeout is pure added wall-clock per injected hang. *)
-          timeout_s = Some 0.25;
+          (* Short deadline under chaos only: injected hangs spin until
+             the watchdog fires, so the timeout is pure added wall-clock
+             per hang. Without chaos a slow instance must not degrade. *)
+          timeout_s =
+            (if chaos = None then Server.default_config.Server.timeout_s
+             else Some 0.25);
         }
       in
       Load.run_inproc ?chaos ~config ~instances ~families ~n ()

@@ -4,27 +4,23 @@
    the no-prediction baselines — every cell an independent job fanned
    out over the lib/exec domain pool — and compares the resulting
    rounds/messages metrics against a committed baseline
-   (BENCH_BASELINE.json):
+   (BENCH_BASELINE.json). Any drift in a correctness-bearing cell metric
+   (decided round, total rounds, honest messages, agreement) FAILS the
+   gate: the sweep is a pure function of the seeds, so a changed number
+   means changed protocol behaviour, not noise.
 
-   - any drift in a correctness-bearing metric (decided round, total
-     rounds, honest messages, agreement) FAILS the gate: the sweep is a
-     pure function of the seeds, so a changed number means changed
-     protocol behaviour, not noise;
-   - wall-clock is machine-dependent, so a >20% regression against the
-     baseline's reference time only WARNS (as a GitHub Actions
-     ::warning:: annotation when running in CI).
-
-   The gate also maintains the bench trajectory (BENCH_HISTORY.jsonl):
-   one dated JSON line per run with the sweep wall clock, the serve
-   throughput, the n=1000 scale-probe time, the crash-restart recovery
-   time, and the allocation probe's minor words per round. Drift
-   against the previous trajectory point is warn-only.
-
-   Allocation is gated the same warn-only way: a pinned E1-style probe
-   measures domain-local minor words per simulated round — exactly
-   reproducible on one machine and one compiler, but legitimately
-   different across OCaml versions, so a regression annotates instead
-   of failing.
+   Around the cells sits one table of scalar metrics ([metrics] below):
+   the sweep wall clock, the serve throughput, the n=1000 scale-probe
+   time, the crash-restart recovery time and the allocation probe's
+   minor words per round. A row names its JSON key, which direction is
+   better, the relative tolerance past which a worse value warns, and
+   its probe. The values are machine-dependent, so drift against the
+   baseline or against the last point of the bench trajectory
+   (BENCH_HISTORY.jsonl, one dated JSON line per run) only WARNS (as a
+   GitHub Actions ::warning:: annotation when running in CI). A probe's
+   own correctness failure — recovery losing instances, a scale-probe
+   disagreement, the serve oracle, an alloc probe over 0 rounds — FAILS
+   the gate like a drifted cell.
 
    Usage:
      dune exec bin/bap_gate.exe -- --write             # baseline + trajectory
@@ -34,9 +30,10 @@
 open Cmdliner
 module Pool = Bap_exec.Pool
 module Supervisor = Bap_exec.Supervisor
+module Json = Bap_telemetry.Json
 open Bap_experiments.Common
 
-type metrics = {
+type cell = {
   id : string;
   decided : int; (* first decision round; -1 where not applicable *)
   rounds : int;
@@ -128,7 +125,7 @@ let run_sweep ~jobs =
         Pool.with_pool ~jobs (fun pool -> Pool.run_all pool tasks))
   in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-  let metrics, failed =
+  let results, failed =
     Array.to_list outcomes
     |> List.mapi (fun i r -> (i, r))
     |> List.partition_map (fun (i, r) ->
@@ -144,165 +141,85 @@ let run_sweep ~jobs =
                (Printf.sprintf "probe cell gate/%d: harness error %s" i
                   (Printexc.to_string e)))
   in
-  (metrics, failed, wall_ms)
+  (results, failed, wall_ms)
 
-(* ---------- JSON (hand-rolled: no json dependency in the image) ---------- *)
+let cell_json m =
+  Printf.sprintf
+    "    {\"id\": %S, \"decided\": %d, \"rounds\": %d, \"msgs\": %d, \"ok\": %b}" m.id
+    m.decided m.rounds m.msgs m.ok
 
-(* The serve probe: a quick in-process run of the service loop with
-   the byte-identity oracle on. Throughput is environment-dependent and
-   therefore warn-only, like the wall-clock reference; an oracle
-   failure is correctness and fails the gate like any drifted cell. *)
-type serve_ref = { s_per_sec : float; s_jobs : int; s_instances : int }
+let cells_of_json j =
+  let open Json in
+  match to_list (member "cells" j) with
+  | None -> invalid_arg "baseline: missing cells"
+  | Some cs ->
+    List.map
+      (fun c ->
+        match
+          ( to_string (member "id" c),
+            to_int (member "decided" c),
+            to_int (member "rounds" c),
+            to_int (member "msgs" c),
+            to_bool (member "ok" c) )
+        with
+        | Some id, Some decided, Some rounds, Some msgs, Some ok ->
+          { id; decided; rounds; msgs; ok }
+        | _ -> invalid_arg "baseline: malformed cell")
+      cs
 
-let measure_serve { s_jobs; s_instances; _ } =
+let cell_drift ~expected actual =
+  let index = List.map (fun m -> (m.id, m)) actual in
+  let key c = (c.decided, c.rounds, c.msgs, c.ok) in
+  List.filter_map
+    (fun e ->
+      match List.assoc_opt e.id index with
+      | None -> Some (Printf.sprintf "cell %s: missing from sweep" e.id)
+      | Some a when key a <> key e ->
+        Some
+          (Printf.sprintf
+             "cell %s: (decided,rounds,msgs,ok) = (%d,%d,%d,%b), baseline (%d,%d,%d,%b)"
+             e.id a.decided a.rounds a.msgs a.ok e.decided e.rounds e.msgs e.ok)
+      | Some _ -> None)
+    expected
+  @ List.filter_map
+      (fun a ->
+        if List.exists (fun e -> e.id = a.id) expected then None
+        else Some (Printf.sprintf "cell %s: not in baseline (run --write?)" a.id))
+      actual
+
+(* ---------- the scalar probes ---------- *)
+
+(* The serve probe: a quick in-process run of the service loop (one
+   worker, 3000 pk instances at n=4) with the byte-identity oracle on. *)
+let measure_serve () =
   let module Server = Bap_servelib.Server in
   let module Load = Bap_servelib.Load in
+  let instances = 3000 in
   let config =
-    {
-      Server.default_config with
-      Server.jobs = s_jobs;
-      queue_capacity = max 1 s_instances;
-      batch = 256;
-    }
+    { Server.default_config with
+      Server.jobs = 1; queue_capacity = instances; batch = 256 }
   in
   let o =
-    Load.run_inproc ~config ~instances:s_instances
-      ~families:[ Bap_servelib.Instance.Pk ] ~n:4 ()
+    Load.run_inproc ~config ~instances ~families:[ Bap_servelib.Instance.Pk ] ~n:4 ()
   in
-  (o.Bap_servelib.Load.per_sec, Load.failures o)
+  match Load.failures o with
+  | [] -> Ok o.Load.per_sec
+  | fs -> Error ("serve oracle: " ^ String.concat "; " fs)
 
-(* The allocation probe: a pinned E1-style slice of the sweep, run
-   inline on the calling domain so Gc.minor_words (via the memprobe's
-   domain-local reader) counts exactly this work and nothing else.
-   Minor words per round is a pure function of the compiled code — the
-   alloc-regression signal ISSUE 10's observatory gates on. *)
-let measure_alloc () =
-  let module Memprobe = Bap_telemetry.Memprobe in
-  let cells =
-    [
-      unauth_cell ~n:25 ~f:4 ~m:0;
-      unauth_cell ~n:25 ~f:4 ~m:2;
-      unauth_cell ~n:31 ~f:10 ~m:0;
-    ]
-  in
-  let mw0 = Memprobe.domain_minor_words () in
-  let rounds = List.fold_left (fun acc cell -> acc + (cell ()).rounds) 0 cells in
-  let words = Memprobe.domain_minor_words () -. mw0 in
-  if rounds <= 0 then begin
-    Printf.printf "FAILED: alloc probe simulated 0 rounds\n";
-    exit 1
-  end;
-  words /. float_of_int rounds
-
-let json_of ~metrics ~wall_ms ~serve ~alloc =
-  let cell m =
-    Printf.sprintf
-      "    {\"id\": %S, \"decided\": %d, \"rounds\": %d, \"msgs\": %d, \"ok\": %b}"
-      m.id m.decided m.rounds m.msgs m.ok
-  in
-  let serve_field =
-    match serve with
-    | None -> ""
-    | Some s ->
-      Printf.sprintf
-        ",\n  \"serve\": {\"instances_per_sec\": %.0f, \"jobs\": %d, \
-         \"instances\": %d, \"families\": \"pk\", \"n\": 4}"
-        s.s_per_sec s.s_jobs s.s_instances
-  in
-  let alloc_field =
-    match alloc with
-    | None -> ""
-    | Some w -> Printf.sprintf ",\n  \"alloc_minor_words_per_round\": %.1f" w
-  in
-  Printf.sprintf
-    "{\n  \"version\": 1,\n  \"wall_ms\": %.1f%s%s,\n  \"cells\": [\n%s\n  ]\n}\n"
-    wall_ms serve_field alloc_field
-    (String.concat ",\n" (List.map cell metrics))
-
-(* JSON parsing lives in lib/telemetry (shared with the trace sinks and
-   bap_trace); this alias keeps the call sites below unchanged. *)
-module Json = Bap_telemetry.Json
-
-let parse_baseline text =
-  let open Json in
-  let j = parse text in
-  let wall_ms = to_float (member "wall_ms" j) in
-  let cells =
-    match to_list (member "cells" j) with
-    | None -> invalid_arg "baseline: missing cells"
-    | Some cs ->
-      List.map
-        (fun c ->
-          match
-            ( to_string (member "id" c),
-              to_int (member "decided" c),
-              to_int (member "rounds" c),
-              to_int (member "msgs" c),
-              to_bool (member "ok" c) )
-          with
-          | Some id, Some decided, Some rounds, Some msgs, Some ok ->
-            { id; decided; rounds; msgs; ok }
-          | _ -> invalid_arg "baseline: malformed cell")
-        cs
-  in
-  let serve =
-    match member "serve" j with
-    | None -> None
-    | Some s ->
-      (match
-         ( to_float (member "instances_per_sec" s),
-           to_int (member "jobs" s),
-           to_int (member "instances" s) )
-       with
-      | Some s_per_sec, Some s_jobs, Some s_instances ->
-        Some { s_per_sec; s_jobs; s_instances }
-      | _ -> invalid_arg "baseline: malformed serve reference")
-  in
-  (* Absent in baselines from before the allocation observatory; None
-     simply skips the alloc drift warning. *)
-  let alloc = to_float (member "alloc_minor_words_per_round" j) in
-  (cells, wall_ms, serve, alloc)
-
-(* ---------- the gate ---------- *)
-
-let in_ci () = Sys.getenv_opt "GITHUB_ACTIONS" = Some "true"
-
-let warn fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if in_ci () then Printf.printf "::warning title=bench-regression::%s\n" msg
-      else Printf.printf "WARNING: %s\n" msg)
-    fmt
-
-(* ---------- the bench trajectory (BENCH_HISTORY.jsonl) ---------- *)
-
-(* One dated line per gate run: the probe-sweep wall clock, the serve
-   throughput, and the n=1000 scale-probe time. All three are
-   machine-dependent, so the trajectory is warn-only — the point is a
-   recorded curve over commits, not a pass/fail bar. *)
-type history_entry = {
-  h_date : string;
-  h_wall_ms : float;
-  h_serve_per_sec : float;
-  h_scale_n1000_ms : float;
-  h_recovery_ms : float;
-      (* crash-restart recovery probe; 0.0 in entries from before the
-         instance journal existed *)
-  h_alloc_words_per_round : float;
-      (* allocation probe; 0.0 in entries from before the allocation
-         observatory existed *)
-}
-
-let today () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
+(* The scale probe: one n=1000 wrapper instance through the counted core. *)
+let measure_scale () =
+  let r = Scale_probe.run ~n:1000 ~f:0 () in
+  if r.Scale_probe.agreement && r.Scale_probe.decided then Ok r.Scale_probe.wall_ms
+  else
+    Error
+      (Printf.sprintf "scale probe n=1000 (agreement=%b decided=%b)"
+         r.Scale_probe.agreement r.Scale_probe.decided)
 
 (* The recovery probe: craft an instance journal holding accepted-but-
    unanswered instances, then time a --resume server recovering them
    over an immediately-EOF stream — the restart-to-ready cost of a
    SIGKILLed service, isolated from any client traffic. Recovery that
-   loses or invents instances is correctness and fails the gate. *)
+   loses or invents instances is a probe failure. *)
 let measure_recovery () =
   let module Server = Bap_servelib.Server in
   let module SJournal = Bap_servelib.Journal in
@@ -322,7 +239,7 @@ let measure_recovery () =
       Server.journal_path = Some path;
       resume = true;
       batch = 256;
-      queue_capacity = max 1 k;
+      queue_capacity = k;
     }
   in
   let t0 = Unix.gettimeofday () in
@@ -332,245 +249,191 @@ let measure_recovery () =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     [ null_r; out_r; out_w ];
   (try Sys.remove path with Sys_error _ -> ());
-  if
-    stats.Server.recovered <> k
-    || stats.Server.accepted <> k
-    || stats.Server.responded <> k
-  then begin
-    Printf.printf
-      "FAILED: recovery probe recovered %d / accepted %d / responded %d of %d \
-       journaled instance(s)\n"
-      stats.Server.recovered stats.Server.accepted stats.Server.responded k;
-    exit 1
-  end;
-  ms
+  let { Server.recovered; accepted; responded; _ } = stats in
+  if recovered = k && accepted = k && responded = k then Ok ms
+  else
+    Error
+      (Printf.sprintf
+         "recovery probe recovered %d / accepted %d / responded %d of %d journaled \
+          instance(s)"
+         recovered accepted responded k)
 
-let measure_scale () =
-  let r = Scale_probe.run ~n:1000 ~f:0 () in
-  if not (r.Scale_probe.agreement && r.Scale_probe.decided) then begin
-    Printf.printf "FAILED: scale probe n=1000 (agreement=%b decided=%b)\n"
-      r.Scale_probe.agreement r.Scale_probe.decided;
-    exit 1
-  end;
-  r.Scale_probe.wall_ms
+(* The allocation probe: a pinned E1-style slice of the sweep, run
+   inline on the calling domain so Gc.minor_words (via the memprobe's
+   domain-local reader) counts exactly this work and nothing else.
+   Minor words per round is a pure function of the compiled code:
+   exactly reproducible on one machine and one compiler, but
+   legitimately different across OCaml versions, hence warn-only. *)
+let measure_alloc () =
+  let module Memprobe = Bap_telemetry.Memprobe in
+  let cells =
+    [
+      unauth_cell ~n:25 ~f:4 ~m:0;
+      unauth_cell ~n:25 ~f:4 ~m:2;
+      unauth_cell ~n:31 ~f:10 ~m:0;
+    ]
+  in
+  let mw0 = Memprobe.domain_minor_words () in
+  let rounds = List.fold_left (fun acc cell -> acc + (cell ()).rounds) 0 cells in
+  let words = Memprobe.domain_minor_words () -. mw0 in
+  if rounds <= 0 then Error "alloc probe simulated 0 rounds"
+  else Ok (words /. float_of_int rounds)
+
+(* ---------- the metric table ---------- *)
+
+type better = Lower | Higher
+
+type metric = {
+  key : string;  (** JSON key in BENCH_BASELINE.json and BENCH_HISTORY.jsonl *)
+  label : string;
+  unit : string;
+  decimals : int;  (** digits written to the JSON files *)
+  better : better;
+  tolerance : float;  (** warn when worse than the reference by more than this *)
+  in_baseline : bool;  (** recorded in BENCH_BASELINE.json, not only the trajectory *)
+  probe : float -> (float, string) result;  (** given the sweep's wall ms *)
+}
+
+(* Row order is the key order of the baseline and history lines. *)
+let metrics =
+  let measured f _sweep_ms = f () in
+  [
+    { key = "wall_ms"; label = "gate sweep"; unit = "ms"; decimals = 1;
+      better = Lower; tolerance = 0.2; in_baseline = true;
+      probe = Result.ok };
+    { key = "serve_per_sec"; label = "serve throughput"; unit = "instances/s";
+      decimals = 0; better = Higher; tolerance = 0.2; in_baseline = true;
+      probe = measured measure_serve };
+    { key = "scale_n1000_ms"; label = "scale probe (n=1000)"; unit = "ms";
+      decimals = 1; better = Lower; tolerance = 0.2; in_baseline = false;
+      probe = measured measure_scale };
+    { key = "recovery_ms"; label = "crash-restart recovery"; unit = "ms";
+      decimals = 1; better = Lower; tolerance = 0.5; in_baseline = false;
+      probe = measured measure_recovery };
+    { key = "alloc_minor_words_per_round"; label = "alloc probe";
+      unit = "minor words/round"; decimals = 1; better = Lower; tolerance = 0.1;
+      in_baseline = true; probe = measured measure_alloc };
+  ]
+
+(* Run the probes of [rows] in table order: the measured values, and one
+   failure line naming each probe that failed its own check. *)
+let measure rows ~sweep_ms =
+  List.partition_map
+    (fun m ->
+      match m.probe sweep_ms with
+      | Ok v -> Either.Left (m, v)
+      | Error msg -> Either.Right (Printf.sprintf "probe %s: %s" m.key msg))
+    rows
+
+(* A reference is the row's key in a baseline or history object; a
+   missing (or non-positive) one means "no reference yet". *)
+let reference j m =
+  match Json.to_float (Json.member m.key j) with
+  | Some r when r > 0. -> Some r
+  | _ -> None
+
+let json_fields values =
+  List.map (fun (m, v) -> Printf.sprintf "%S: %.*f" m.key m.decimals v) values
+
+(* ---------- the gate ---------- *)
+
+let in_ci () = Sys.getenv_opt "GITHUB_ACTIONS" = Some "true"
+
+let warn fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if in_ci () then Printf.printf "::warning title=bench-regression::%s\n" msg
+      else Printf.printf "WARNING: %s\n" msg)
+    fmt
+
+(* Warn when [v] is worse than [reference] by more than the row's
+   tolerance; [against] names the reference in the message. *)
+let warn_drift ~against m v = function
+  | None -> ()
+  | Some r ->
+    let drift, dir =
+      match m.better with
+      | Lower -> ((v /. r) -. 1., "over")
+      | Higher -> (1. -. (v /. r), "under")
+    in
+    if drift > m.tolerance then
+      warn "%s %.0f %s is %.0f%% %s %s (%.0f %s)" m.label v m.unit (drift *. 100.) dir
+        against r m.unit
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* ---------- the bench trajectory (BENCH_HISTORY.jsonl) ---------- *)
+
+let today () =
+  let tm = Unix.gmtime (Unix.time ()) in
+  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+    tm.Unix.tm_mday
 
 let last_history_entry path =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let last =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let last = ref None in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.trim line <> "" then last := Some line
-             done
-           with End_of_file -> ());
-          !last)
-    in
-    match last with
-    | None -> None
-    | Some line -> (
-      let open Json in
-      match parse line with
-      | exception Parse _ -> None
-      | j -> (
-        match
-          ( to_string (member "date" j),
-            to_float (member "wall_ms" j),
-            to_float (member "serve_per_sec" j),
-            to_float (member "scale_n1000_ms" j) )
-        with
-        | Some h_date, Some h_wall_ms, Some h_serve_per_sec, Some h_scale_n1000_ms
-          ->
-          (* recovery_ms arrived with the instance journal and the alloc
-             probe with the allocation observatory; entries from before
-             either default to 0 (which disables that drift warning). *)
-          let h_recovery_ms =
-            Option.value ~default:0. (to_float (member "recovery_ms" j))
-          in
-          let h_alloc_words_per_round =
-            Option.value ~default:0.
-              (to_float (member "alloc_minor_words_per_round" j))
-          in
-          Some
-            {
-              h_date;
-              h_wall_ms;
-              h_serve_per_sec;
-              h_scale_n1000_ms;
-              h_recovery_ms;
-              h_alloc_words_per_round;
-            }
-        | _ -> None))
-  end
+  else
+    String.split_on_char '\n' (read_file path)
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.rev
+    |> function
+    | [] -> None
+    | last :: _ -> ( try Some (Json.parse last) with Json.Parse _ -> None)
 
-let append_history ~path e =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc
-        (Printf.sprintf
-           "{\"date\": %S, \"wall_ms\": %.1f, \"serve_per_sec\": %.0f, \
-            \"scale_n1000_ms\": %.1f, \"recovery_ms\": %.1f, \
-            \"alloc_minor_words_per_round\": %.1f}\n"
-           e.h_date e.h_wall_ms e.h_serve_per_sec e.h_scale_n1000_ms
-           e.h_recovery_ms e.h_alloc_words_per_round))
-
-(* Measure the scale probe, warn against the previous trajectory point,
-   and append the new one. *)
-let record_history ~path ~wall_ms ~serve_per_sec ~alloc_words_per_round =
-  let scale_ms = measure_scale () in
-  let recovery_ms = measure_recovery () in
+(* Warn against the previous trajectory point, then append the new one:
+   the date and every row's value, in table order. *)
+let record_history ~path values =
   (match last_history_entry path with
   | None ->
-    (* Satellite of ISSUE 10: an empty or missing trajectory is a seed,
-       not an error — say so instead of silently skipping the drift
-       checks. *)
     Printf.printf
-      "bap_gate: no prior trajectory point in %s; seeding the first one \
-       (drift warnings begin with the next run)\n"
+      "bap_gate: no prior trajectory point in %s; seeding the first one (drift \
+       warnings begin with the next run)\n"
       path
   | Some prev ->
-    if wall_ms > 1.2 *. prev.h_wall_ms then
-      warn "gate sweep %.0f ms is %.0f%% over the last trajectory point (%s: %.0f ms)"
-        wall_ms
-        ((wall_ms /. prev.h_wall_ms -. 1.) *. 100.)
-        prev.h_date prev.h_wall_ms;
-    if prev.h_serve_per_sec > 0. && serve_per_sec < 0.8 *. prev.h_serve_per_sec
-    then
-      warn "serve %.0f/s is %.0f%% under the last trajectory point (%s: %.0f/s)"
-        serve_per_sec
-        ((1. -. (serve_per_sec /. prev.h_serve_per_sec)) *. 100.)
-        prev.h_date prev.h_serve_per_sec;
-    if scale_ms > 1.2 *. prev.h_scale_n1000_ms then
-      warn
-        "scale probe (n=1000) %.0f ms is %.0f%% over the last trajectory point \
-         (%s: %.0f ms)"
-        scale_ms
-        ((scale_ms /. prev.h_scale_n1000_ms -. 1.) *. 100.)
-        prev.h_date prev.h_scale_n1000_ms;
-    if prev.h_recovery_ms > 0. && recovery_ms > 1.5 *. prev.h_recovery_ms then
-      warn
-        "crash-restart recovery %.0f ms is %.0f%% over the last trajectory \
-         point (%s: %.0f ms)"
-        recovery_ms
-        ((recovery_ms /. prev.h_recovery_ms -. 1.) *. 100.)
-        prev.h_date prev.h_recovery_ms;
-    if
-      prev.h_alloc_words_per_round > 0.
-      && alloc_words_per_round > 1.1 *. prev.h_alloc_words_per_round
-    then
-      warn
-        "alloc probe %.0f minor words/round is %.0f%% over the last \
-         trajectory point (%s: %.0f)"
-        alloc_words_per_round
-        ((alloc_words_per_round /. prev.h_alloc_words_per_round -. 1.) *. 100.)
-        prev.h_date prev.h_alloc_words_per_round);
-  append_history ~path
-    {
-      h_date = today ();
-      h_wall_ms = wall_ms;
-      h_serve_per_sec = serve_per_sec;
-      h_scale_n1000_ms = scale_ms;
-      h_recovery_ms = recovery_ms;
-      h_alloc_words_per_round = alloc_words_per_round;
-    };
-  Printf.printf
-    "bap_gate: appended trajectory point to %s (scale n=1000: %.0f ms, \
-     recovery: %.0f ms, alloc: %.0f words/round)\n"
-    path scale_ms recovery_ms alloc_words_per_round
+    let against =
+      Printf.sprintf "the %s trajectory point"
+        (Option.value ~default:"last" (Json.to_string (Json.member "date" prev)))
+    in
+    List.iter (fun (m, v) -> warn_drift ~against m v (reference prev m)) values);
+  Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+    (fun oc ->
+      Printf.fprintf oc "{%s}\n"
+        (String.concat ", "
+           (Printf.sprintf "\"date\": %S" (today ()) :: json_fields values)));
+  Printf.printf "bap_gate: appended trajectory point to %s\n" path
+
+let report_quarantined failed =
+  List.iter (fun msg -> Printf.printf "QUARANTINED %s\n" msg) failed
 
 let check ~baseline_file ~history ~jobs =
-  let text =
-    let ic = open_in_bin baseline_file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let expected, base_wall, serve_ref, base_alloc = parse_baseline text in
-  let actual, failed, wall_ms = run_sweep ~jobs in
+  let baseline = Json.parse (read_file baseline_file) in
+  let expected = cells_of_json baseline in
+  let actual, failed, sweep_ms = run_sweep ~jobs in
   if failed <> [] then begin
-    List.iter (fun msg -> Printf.printf "QUARANTINED %s\n" msg) failed;
-    Printf.printf "FAILED: %d probe cell(s) died despite retry\n"
-      (List.length failed)
+    report_quarantined failed;
+    Printf.printf "FAILED: %d probe cell(s) died despite retry\n" (List.length failed)
   end;
-  let drift = ref [] in
-  let index = List.map (fun m -> (m.id, m)) actual in
-  List.iter
-    (fun e ->
-      match List.assoc_opt e.id index with
-      | None -> drift := Printf.sprintf "cell %s: missing from sweep" e.id :: !drift
-      | Some a ->
-        if (a.decided, a.rounds, a.msgs, a.ok) <> (e.decided, e.rounds, e.msgs, e.ok)
-        then
-          drift :=
-            Printf.sprintf
-              "cell %s: (decided,rounds,msgs,ok) = (%d,%d,%d,%b), baseline (%d,%d,%d,%b)"
-              e.id a.decided a.rounds a.msgs a.ok e.decided e.rounds e.msgs e.ok
-            :: !drift)
-    expected;
-  List.iter
-    (fun a ->
-      if not (List.exists (fun e -> e.id = a.id) expected) then
-        drift := Printf.sprintf "cell %s: not in baseline (run --write?)" a.id :: !drift)
-    actual;
   Printf.printf "bap_gate: %d cells in %.0f ms (--jobs %d), baseline %s\n"
-    (List.length actual) wall_ms jobs baseline_file;
-  (match base_wall with
-  | Some base when wall_ms > 1.2 *. base ->
-    warn "wall-clock %.0f ms is %.0f%% over the baseline's %.0f ms reference" wall_ms
-      ((wall_ms /. base -. 1.) *. 100.)
-      base
-  | _ -> ());
-  let serve_measured = ref None in
-  (match serve_ref with
-  | None -> ()
-  | Some r ->
-    let per_sec, oracle_failures = measure_serve r in
-    serve_measured := Some per_sec;
-    Printf.printf
-      "bap_gate: serve %.0f instances/sec (--jobs %d, baseline %.0f)\n" per_sec
-      r.s_jobs r.s_per_sec;
-    List.iter
-      (fun f -> drift := Printf.sprintf "serve oracle: %s" f :: !drift)
-      oracle_failures;
-    if per_sec < 0.8 *. r.s_per_sec then
-      warn "serve throughput %.0f/s is %.0f%% under the baseline's %.0f/s"
-        per_sec
-        ((1. -. (per_sec /. r.s_per_sec)) *. 100.)
-        r.s_per_sec);
-  let alloc_words = measure_alloc () in
-  (match base_alloc with
-  | None ->
-    Printf.printf
-      "bap_gate: alloc probe %.0f minor words/round (no baseline yet — run \
-       --write to record one)\n"
-      alloc_words
-  | Some base ->
-    Printf.printf "bap_gate: alloc probe %.0f minor words/round (baseline %.0f)\n"
-      alloc_words base;
-    if base > 0. && alloc_words > 1.1 *. base then
-      warn
-        "alloc probe %.0f minor words/round is %.0f%% over the baseline's %.0f"
-        alloc_words
-        ((alloc_words /. base -. 1.) *. 100.)
-        base);
-  (match history with
-  | None -> ()
-  | Some path ->
-    let per_sec =
-      match !serve_measured with
-      | Some p -> p
-      | None -> fst (measure_serve { s_per_sec = 0.; s_jobs = 1; s_instances = 3000 })
-    in
-    record_history ~path ~wall_ms ~serve_per_sec:per_sec
-      ~alloc_words_per_round:alloc_words);
-  match (List.rev !drift, failed) with
+    (List.length actual) sweep_ms jobs baseline_file;
+  let rows = List.filter (fun m -> m.in_baseline || history <> None) metrics in
+  let values, probe_failures = measure rows ~sweep_ms in
+  List.iter
+    (fun (m, v) ->
+      if m.in_baseline then begin
+        let r = reference baseline m in
+        Printf.printf "bap_gate: %s %.0f %s (%s)\n" m.label v m.unit
+          (match r with
+          | Some r -> Printf.sprintf "baseline %.0f" r
+          | None -> "no baseline yet — run --write to record one");
+        warn_drift ~against:"the baseline" m v r
+      end
+      else Printf.printf "bap_gate: %s %.0f %s\n" m.label v m.unit)
+    values;
+  Option.iter
+    (fun path ->
+      if probe_failures = [] then record_history ~path values
+      else Printf.printf "bap_gate: a probe failed; no trajectory point appended\n")
+    history;
+  match (cell_drift ~expected actual @ probe_failures, failed) with
   | [], [] ->
     Printf.printf "ok: all %d correctness metrics match the baseline\n"
       (List.length expected);
@@ -578,46 +441,36 @@ let check ~baseline_file ~history ~jobs =
   | ds, _ ->
     List.iter (fun d -> Printf.printf "DRIFT %s\n" d) ds;
     if ds <> [] then
-      Printf.printf "FAILED: %d cell(s) drifted from %s\n" (List.length ds)
+      Printf.printf "FAILED: %d cell(s) or probe(s) drifted from %s\n" (List.length ds)
         baseline_file;
     1
 
 let write ~baseline_file ~history ~jobs =
-  let metrics, failed, wall_ms = run_sweep ~jobs in
-  if failed <> [] then begin
-    List.iter (fun msg -> Printf.printf "QUARANTINED %s\n" msg) failed;
-    Printf.printf "refusing to write a baseline from a degraded sweep\n";
-    exit 1
-  end;
-  let serve =
-    let r = { s_per_sec = 0.; s_jobs = 1; s_instances = 3000 } in
-    let per_sec, oracle_failures = measure_serve r in
-    if oracle_failures <> [] then begin
-      List.iter (fun f -> Printf.printf "serve oracle: %s\n" f) oracle_failures;
-      Printf.printf "refusing to write a baseline from a failing serve loop\n";
-      exit 1
-    end;
-    Some { r with s_per_sec = per_sec }
-  in
-  let alloc_words = measure_alloc () in
-  let oc = open_out_bin baseline_file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (json_of ~metrics ~wall_ms ~serve ~alloc:(Some alloc_words)));
-  Printf.printf
-    "bap_gate: wrote %d cells to %s (%.0f ms, serve %.0f/s, alloc %.0f \
-     words/round)\n"
-    (List.length metrics) baseline_file wall_ms
-    (match serve with Some s -> s.s_per_sec | None -> 0.)
-    alloc_words;
-  (* --write always extends the trajectory: a fresh baseline is exactly
-     the moment a new point belongs on the curve. *)
-  let path = Option.value history ~default:"BENCH_HISTORY.jsonl" in
-  record_history ~path ~wall_ms
-    ~serve_per_sec:(match serve with Some s -> s.s_per_sec | None -> 0.)
-    ~alloc_words_per_round:alloc_words;
-  0
+  let cells, failed, sweep_ms = run_sweep ~jobs in
+  let values, probe_failures = measure metrics ~sweep_ms in
+  if failed <> [] || probe_failures <> [] then begin
+    report_quarantined failed;
+    List.iter (fun d -> Printf.printf "FAILED %s\n" d) probe_failures;
+    print_endline "refusing to write a baseline from a degraded sweep or a failed probe";
+    1
+  end
+  else begin
+    Out_channel.with_open_bin baseline_file (fun oc ->
+        Printf.fprintf oc "{\n  \"version\": 1,\n%s  \"cells\": [\n%s\n  ]\n}\n"
+          (String.concat ""
+             (List.map
+                (fun f -> "  " ^ f ^ ",\n")
+                (json_fields (List.filter (fun (m, _) -> m.in_baseline) values))))
+          (String.concat ",\n" (List.map cell_json cells)));
+    Printf.printf "bap_gate: wrote %d cells to %s (%s)\n" (List.length cells)
+      baseline_file
+      (String.concat ", "
+         (List.map (fun (m, v) -> Printf.sprintf "%s %.0f %s" m.label v m.unit) values));
+    (* --write always extends the trajectory: a fresh baseline is exactly
+       the moment a new point belongs on the curve. *)
+    record_history ~path:(Option.value history ~default:"BENCH_HISTORY.jsonl") values;
+    0
+  end
 
 (* ---------- the stats gate ---------- *)
 
@@ -625,14 +478,8 @@ let write ~baseline_file ~history ~jobs =
    exit discipline: 4 when the sweep was DEGRADED (quarantined cells),
    0 when clean. Lets CI gate on a sweep that ran elsewhere. *)
 let check_stats ~stats_file =
-  let text =
-    let ic = open_in_bin stats_file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let open Json in
-  match parse text with
+  match parse (read_file stats_file) with
   | exception Parse msg ->
     Printf.printf "bap_gate: %s: unparseable stats: %s\n" stats_file msg;
     1

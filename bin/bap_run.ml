@@ -46,7 +46,18 @@ let pick_adversary name ~n ~t pki =
     | None -> failwith "infiltrator needs --auth")
   | other -> failwith ("unknown adversary: " ^ other)
 
-let run n t f misclassified budget placement adversary auth seed trace monitor
+(* Flag combinations the stack would reject with an exception, reported
+   as usage errors (exit 124) before anything runs. *)
+let usage_error ~n ~t ~f ~adversary ~auth =
+  if f > t then
+    Some (Printf.sprintf "-f %d exceeds -t %d: at most t processes are faulty" f t)
+  else if f > n then
+    Some (Printf.sprintf "-f %d exceeds -n %d: faulty ids are 0..f-1" f n)
+  else if adversary = "infiltrator" && not auth then
+    Some "--adversary infiltrator needs --auth"
+  else None
+
+let execute n t f misclassified budget placement adversary auth seed trace monitor
     value_prediction =
   let rng = Rng.create seed in
   let faulty = Array.init f Fun.id in
@@ -54,16 +65,7 @@ let run n t f misclassified budget placement adversary auth seed trace monitor
   let advice =
     match (misclassified, budget) with
     | 0, 0 -> Gen.perfect ~n ~faulty
-    | 0, b ->
-      let p =
-        match placement with
-        | "uniform" -> Gen.Uniform
-        | "focused" -> Gen.Focused
-        | "scattered" -> Gen.Scattered
-        | "all-wrong" -> Gen.All_wrong
-        | other -> failwith ("unknown placement: " ^ other)
-      in
-      Gen.generate ~rng ~n ~faulty ~budget:b p
+    | 0, b -> Gen.generate ~rng ~n ~faulty ~budget:b placement
     | m, _ ->
       let per = max 1 (Bap_core.Classification.majority_threshold n - f) in
       Gen.generate ~rng ~n ~faulty ~budget:(m * per) (Gen.Targeted per)
@@ -110,6 +112,15 @@ let run n t f misclassified budget placement adversary auth seed trace monitor
   | Some tr when trace -> Fmt.pr "@.-- trace --@.%a@." (Bap_sim.Trace.pp Stack.W.pp) tr
   | _ -> ()
 
+let run n t f misclassified budget placement adversary auth seed trace monitor
+    value_prediction =
+  match usage_error ~n ~t ~f ~adversary ~auth with
+  | Some msg -> `Error (true, msg)
+  | None ->
+    execute n t f misclassified budget placement adversary auth seed trace monitor
+      value_prediction;
+    `Ok ()
+
 let cmd =
   let n = Arg.(value & opt int 13 & info [ "n" ] ~doc:"Number of processes.") in
   let t = Arg.(value & opt int 4 & info [ "t" ] ~doc:"Fault tolerance bound.") in
@@ -124,12 +135,22 @@ let cmd =
   in
   let placement =
     Arg.(
-      value & opt string "uniform"
+      value
+      & opt
+          (enum
+             [
+               ("uniform", Gen.Uniform);
+               ("focused", Gen.Focused);
+               ("scattered", Gen.Scattered);
+               ("all-wrong", Gen.All_wrong);
+             ])
+          Gen.Uniform
       & info [ "placement" ] ~doc:"Error placement: uniform|focused|scattered|all-wrong.")
   in
   let adversary =
     Arg.(
-      value & opt string "silent"
+      value
+      & opt (enum (List.map (fun a -> (a, a)) adversary_names)) "silent"
       & info [ "adversary" ]
           ~doc:(Printf.sprintf "One of: %s." (String.concat ", " adversary_names)))
   in
@@ -151,7 +172,8 @@ let cmd =
   Cmd.v
     (Cmd.info "bap_run" ~doc:"Run one Byzantine Agreement with Predictions execution")
     Term.(
-      const run $ n $ t $ f $ m $ budget $ placement $ adversary $ auth $ seed $ trace
-      $ monitor $ value_prediction)
+      ret
+        (const run $ n $ t $ f $ m $ budget $ placement $ adversary $ auth $ seed $ trace
+       $ monitor $ value_prediction))
 
 let () = exit (Cmd.eval cmd)

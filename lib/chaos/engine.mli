@@ -58,8 +58,11 @@ module Make (V : Bap_core.Value.S) : sig
       green. [mutant salt v] must differ from [v] for equivocation to
       bite. [with_trace] (default [true]) records a delivery trace and
       runs the monitor-soundness oracle; the model checker turns it off
-      so the runtime can take its counted fast path — the decision-level
-      oracles (agreement, validity, termination) still run. *)
+      so that every schedule without a network-side fault ([Drop],
+      [Duplicate], [Reorder], [Corrupt]) runs on the runtime's counted
+      fast path — the decision-level oracles (agreement, validity,
+      termination) still run. A network-side fault installs the
+      [?network] hook, which keeps the run on the concrete path. *)
 
   val pp_config : Format.formatter -> config -> unit
   val pp_report : Format.formatter -> report -> unit

@@ -67,8 +67,7 @@ let create ?(crash_pct = 25) ?(hang_pct = 10) ?(doomed_pct = 0)
     kill9_pct;
   }
 
-let djb2 s =
-  String.fold_left (fun h c -> ((h * 33) + Char.code c) land max_int) 5381 s
+let djb2 = Bap_stats.Hash.djb2
 
 let roll t ~salt ~key = djb2 (Printf.sprintf "%d|%s|%s" t.seed salt key) mod 100
 

@@ -119,7 +119,7 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) =
     | None -> None
     | Some bytes -> W.decode_plain (flip_bit bytes bit)
 
-  let network schedule ~round ~src ~dst msgs =
+  let hook schedule ~round ~src ~dst msgs =
     (* Self-delivery is process-local state, not network traffic. *)
     if src = dst || msgs = [] then msgs
     else
@@ -135,4 +135,11 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) =
             List.filter_map (corrupt_msg ~bit:f.bit) msgs
           | _ -> msgs)
         msgs schedule
+
+  let network schedule =
+    let edge_fault = function
+      | Schedule.Drop _ | Duplicate _ | Reorder _ | Corrupt _ -> true
+      | Crash_at _ | Omit_to _ | Equivocate _ | Advice_flip _ -> false
+    in
+    if List.exists edge_fault schedule then Some (hook schedule) else None
 end

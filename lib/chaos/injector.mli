@@ -26,8 +26,11 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) :
   (** All Byzantine-side faults of the schedule, composed.
       [mutant salt v] must differ from [v] for equivocation to bite. *)
 
-  val network : Schedule.t -> round:int -> src:int -> dst:int -> W.t list -> W.t list
-  (** All network-side faults of the schedule, as the runtime's
-      [?network] hook. Touches every edge — this is where
-      envelope-probing faults on honest traffic live. *)
+  val network :
+    Schedule.t -> (round:int -> src:int -> dst:int -> W.t list -> W.t list) option
+  (** All network-side faults of the schedule ([Drop], [Duplicate],
+      [Reorder], [Corrupt]), as the runtime's [?network] hook. Touches
+      every edge — this is where envelope-probing faults on honest
+      traffic live. [None] when the schedule has no network-side fault:
+      no hook is installed, so the runtime may take its counted path. *)
 end

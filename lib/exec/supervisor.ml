@@ -145,14 +145,11 @@ let hang_until_cancelled tok =
 
 (* ---------- deterministic backoff ---------- *)
 
-let djb2 s =
-  String.fold_left (fun h c -> ((h * 33) + Char.code c) land max_int) 5381 s
-
 let backoff_ms ~seed ~key ~attempt =
   (* Exponential base with seeded jitter in [0, base): collision-free
      enough to spread a fleet, fully determined by (seed, key, attempt). *)
   let base = 25 * (1 lsl min attempt 6) in
-  base + (djb2 (Printf.sprintf "%d|%s|%d" seed key attempt) mod base)
+  base + (Bap_stats.Hash.djb2 (Printf.sprintf "%d|%s|%d" seed key attempt) mod base)
 
 (* ---------- the supervisor ---------- *)
 

@@ -88,12 +88,11 @@ let measure_k_a ?(adversary = Adversary.silent) w =
   in
   k_a
 
-(* Explicit djb2-style string hash for deriving cell RNG seeds.
-   Hashtbl.hash would also be deterministic within one binary, but its
-   value is an implementation detail of the runtime — a compiler bump
-   would silently reseed every sweep that used it. *)
-let seed_of_string s =
-  String.fold_left (fun h c -> ((h * 33) + Char.code c) land 0x3FFFFFFF) 5381 s
+(* Cell RNG seeds from names: djb2 cut to 30 bits (equal to masking
+   every step). Hashtbl.hash would also be deterministic within one
+   binary, but its value is an implementation detail of the runtime — a
+   compiler bump would silently reseed every sweep that used it. *)
+let seed_of_string s = Bap_stats.Hash.djb2 s land 0x3FFFFFFF
 
 let header title =
   Printf.printf "\n== %s ==\n" title

@@ -8,7 +8,7 @@ val compare_entry : entry -> entry -> int
 
 val load : string -> entry list
 (** Missing file means an empty baseline. @raise Invalid_argument or
-    {!Json.Parse} on a malformed one. *)
+    {!Bap_telemetry.Json.Parse} on a malformed one. *)
 
 val save : string -> Finding.t list -> unit
 

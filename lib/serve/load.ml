@@ -133,14 +133,11 @@ let ignore_sigpipe () =
 
 (* Deterministic seeded backoff: exponential base with a djb2 jitter,
    never a Random draw (D001). Same seed, same waits. *)
-let djb2 s =
-  String.fold_left (fun h c -> ((h * 33) + Char.code c) land max_int) 5381 s
-
 let backoff_s ~seed ~attempt =
   let base = 0.05 *. float_of_int (1 lsl min attempt 5) in
   let jitter =
-    float_of_int (djb2 (Printf.sprintf "%d|backoff|%d" seed attempt) mod 50)
-    /. 1000.
+    let h = Bap_stats.Hash.djb2 (Printf.sprintf "%d|backoff|%d" seed attempt) in
+    float_of_int (h mod 50) /. 1000.
   in
   Float.min 1.6 base +. jitter
 

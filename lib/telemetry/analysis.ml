@@ -82,20 +82,7 @@ let strip_wall text =
          | None -> line)
   |> String.concat "\n"
 
-(* ---------- summary ---------- *)
-
-type rollup = { spans : int; rounds : int; msgs : int; bits : int }
-
-type summary_data = {
-  events : int;
-  tracks : int;
-  runs : int;
-  total_rounds : int;
-  total_msgs : int;
-  total_bits : int;
-  adversary_msgs : int;
-  phases : (string * rollup) list;
-}
+(* ---------- tracks ---------- *)
 
 let attr_int name attrs =
   match List.assoc_opt name attrs with
@@ -120,7 +107,120 @@ let by_track evs =
   in
   split [] "" [] sorted
 
+let group_by_name add l =
+  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (k, v) :: rest -> (
+      match acc with
+      | (k', v') :: tl when String.equal k' k -> go ((k', add v' v) :: tl) rest
+      | _ -> go ((k, v) :: acc) rest)
+  in
+  go [] sorted
+
+(* ---------- round attribution ---------- *)
+
 type interval = { iname : string; lo : int; hi : int; depth : int; order : int }
+
+(* One finished sim.run: its End event, each round's End event paired
+   with the phase that owns the round, and the names of the run's core
+   spans. *)
+type run = {
+  run_end : Tel.event;
+  owned_rounds : (string * Tel.event) list;
+  span_names : string list;
+}
+
+(* The per-track walk both rollups fold over. Core spans open and close
+   on a stack; each round goes to the smallest enclosing extent (deeper,
+   then later-opened, on ties), or to "other". At each sim.run End the
+   walk hands the run to [on_run] — spans that never closed (crashed
+   cell) extend to the last observed round — and resets. Every event it
+   does not consume goes to [on_event], in track order. *)
+let walk_track ~on_run ~on_event track_evs =
+  let round_ends = ref [] in
+  let intervals = ref [] in
+  let stack = ref [] in
+  let cur_round = ref 0 in
+  let order = ref 0 in
+  let reset () =
+    round_ends := [];
+    intervals := [];
+    stack := [];
+    cur_round := 0
+  in
+  let close_interval (iname, lo0, depth, ord) hi =
+    intervals := { iname; lo = lo0 + 1; hi; depth; order = ord } :: !intervals
+  in
+  let owner r =
+    let best =
+      List.fold_left
+        (fun best iv ->
+          if iv.lo <= r && r <= iv.hi then
+            match best with
+            | None -> Some iv
+            | Some b ->
+              let w iv = iv.hi - iv.lo in
+              if
+                w iv < w b
+                || (w iv = w b
+                   && (iv.depth > b.depth || (iv.depth = b.depth && iv.order > b.order)))
+              then Some iv
+              else Some b
+          else best)
+        None !intervals
+    in
+    match best with Some iv -> iv.iname | None -> "other"
+  in
+  let finish_run run_end =
+    List.iter (fun sp -> close_interval sp !cur_round) !stack;
+    on_run
+      {
+        run_end;
+        owned_rounds = List.map (fun (r, e) -> (owner r, e)) !round_ends;
+        span_names = List.map (fun iv -> iv.iname) !intervals;
+      };
+    reset ()
+  in
+  List.iter
+    (fun e ->
+      match (e.Tel.cat, e.Tel.name, e.Tel.ph) with
+      | "sim", "sim.run", Tel.Begin -> reset ()
+      | "sim", "sim.run", Tel.End -> finish_run e
+      | "sim", "round", Tel.Begin ->
+        Option.iter (fun r -> cur_round := r) (attr_int "round" e.Tel.attrs)
+      | "sim", "round", Tel.End -> round_ends := (!cur_round, e) :: !round_ends
+      | "core", name, Tel.Begin ->
+        let r0 = Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs) in
+        stack := (name, r0, List.length !stack, !order) :: !stack;
+        incr order
+      | "core", name, Tel.End -> (
+        let hi = Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs) in
+        match !stack with
+        | (n, _, _, _) :: _ when not (String.equal n name) ->
+          (* Mismatched close (should not happen): drop silently. *)
+          ()
+        | sp :: rest ->
+          stack := rest;
+          close_interval sp hi
+        | [] -> ())
+      | _ -> on_event e)
+    track_evs
+
+(* ---------- summary ---------- *)
+
+type rollup = { spans : int; rounds : int; msgs : int; bits : int }
+
+type summary_data = {
+  events : int;
+  tracks : int;
+  runs : int;
+  total_rounds : int;
+  total_msgs : int;
+  total_bits : int;
+  adversary_msgs : int;
+  phases : (string * rollup) list;
+}
 
 let zero = { spans = 0; rounds = 0; msgs = 0; bits = 0 }
 
@@ -132,17 +232,6 @@ let add_rollup a b =
     bits = a.bits + b.bits;
   }
 
-let group_rollups l =
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (k, v) :: rest -> (
-      match acc with
-      | (k', v') :: tl when String.equal k' k -> go ((k', add_rollup v' v) :: tl) rest
-      | _ -> go ((k, v) :: acc) rest)
-  in
-  go [] sorted
-
 let summarize evs =
   let runs = ref 0 in
   let total_rounds = ref 0 in
@@ -151,95 +240,24 @@ let summarize evs =
   let adversary_msgs = ref 0 in
   let contribs = ref [] in
   let tracks = by_track evs in
-  List.iter
-    (fun track_evs ->
-      (* Per-run accumulators, reset at each sim.run boundary. *)
-      let round_rows = ref [] in
-      let intervals = ref [] in
-      let stack = ref [] in
-      let cur_round = ref 0 in
-      let order = ref 0 in
-      let close_interval (iname, lo0, depth, ord) hi =
-        intervals := { iname; lo = lo0 + 1; hi; depth; order = ord } :: !intervals
-      in
-      let finish_run () =
-        incr runs;
-        (* Spans that never closed (crashed cell) extend to the last
-           observed round. *)
-        List.iter (fun sp -> close_interval sp !cur_round) !stack;
-        stack := [];
-        let best r =
-          List.fold_left
-            (fun best iv ->
-              if iv.lo <= r && r <= iv.hi then
-                match best with
-                | None -> Some iv
-                | Some b ->
-                  let w iv = iv.hi - iv.lo in
-                  if
-                    w iv < w b
-                    || (w iv = w b
-                       && (iv.depth > b.depth
-                          || (iv.depth = b.depth && iv.order > b.order)))
-                  then Some iv
-                  else Some b
-              else best)
-            None !intervals
-        in
-        List.iter
-          (fun (r, m, b) ->
-            let name = match best r with Some iv -> iv.iname | None -> "other" in
-            contribs :=
-              (name, { zero with rounds = 1; msgs = m; bits = b }) :: !contribs)
-          !round_rows;
-        List.iter
-          (fun iv -> contribs := (iv.iname, { zero with spans = 1 }) :: !contribs)
-          !intervals;
-        round_rows := [];
-        intervals := [];
-        cur_round := 0
-      in
-      List.iter
-        (fun e ->
-          match (e.Tel.cat, e.Tel.name, e.Tel.ph) with
-          | "sim", "sim.run", Tel.Begin ->
-            round_rows := [];
-            intervals := [];
-            stack := [];
-            cur_round := 0
-          | "sim", "sim.run", Tel.End ->
-            let a k = Option.value ~default:0 (attr_int k e.Tel.attrs) in
-            total_rounds := !total_rounds + a "rounds";
-            total_msgs := !total_msgs + a "msgs";
-            total_bits := !total_bits + a "bits";
-            adversary_msgs := !adversary_msgs + a "adversary_msgs";
-            finish_run ()
-          | "sim", "round", Tel.Begin ->
-            Option.iter (fun r -> cur_round := r) (attr_int "round" e.Tel.attrs)
-          | "sim", "round", Tel.End ->
-            let a k = Option.value ~default:0 (attr_int k e.Tel.attrs) in
-            round_rows := (!cur_round, a "msgs", a "bits") :: !round_rows
-          | "core", name, Tel.Begin ->
-            let r0 =
-              Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
-            in
-            stack := (name, r0, List.length !stack, !order) :: !stack;
-            incr order
-          | "core", name, Tel.End -> (
-            let hi =
-              Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
-            in
-            match !stack with
-            | (n, _, _, _) :: _ when not (String.equal n name) ->
-              (* Mismatched close (should not happen): drop silently. *)
-              ()
-            | sp :: rest ->
-              stack := rest;
-              close_interval sp hi
-            | [] -> ())
-          | _ -> ())
-        track_evs)
-    tracks;
+  let on_run { run_end; owned_rounds; span_names } =
+    let a e k = Option.value ~default:0 (attr_int k e.Tel.attrs) in
+    incr runs;
+    total_rounds := !total_rounds + a run_end "rounds";
+    total_msgs := !total_msgs + a run_end "msgs";
+    total_bits := !total_bits + a run_end "bits";
+    adversary_msgs := !adversary_msgs + a run_end "adversary_msgs";
+    List.iter
+      (fun (name, e) ->
+        contribs :=
+          (name, { zero with rounds = 1; msgs = a e "msgs"; bits = a e "bits" })
+          :: !contribs)
+      owned_rounds;
+    List.iter
+      (fun name -> contribs := (name, { zero with spans = 1 }) :: !contribs)
+      span_names
+  in
+  List.iter (walk_track ~on_run ~on_event:ignore) tracks;
   {
     events = List.length evs;
     tracks = List.length tracks;
@@ -248,7 +266,7 @@ let summarize evs =
     total_msgs = !total_msgs;
     total_bits = !total_bits;
     adversary_msgs = !adversary_msgs;
-    phases = group_rollups !contribs;
+    phases = group_by_name add_rollup !contribs;
   }
 
 let summary evs =
@@ -381,18 +399,6 @@ let add_arollup a b =
     a_words = a.a_words + b.a_words;
   }
 
-let group_arollups l =
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (k, v) :: rest -> (
-      match acc with
-      | (k', v') :: tl when String.equal k' k ->
-        go ((k', add_arollup v' v) :: tl) rest
-      | _ -> go ((k, v) :: acc) rest)
-  in
-  go [] sorted
-
 let alloc_summarize evs =
   let contribs = ref [] in
   let runs = ref 0 in
@@ -402,127 +408,68 @@ let alloc_summarize evs =
   let sweep_words = ref 0 in
   let process_words = ref None in
   let samples = ref [] in
+  let mw e = attr_int "minor_words" e.Tel.attrs in
   let tracks = by_track evs in
   List.iter
     (fun track_evs ->
-      (* Per-run accumulators (the summarize state machine, with words
-         in place of msgs/bits)... *)
-      let round_rows = ref [] in
-      let intervals = ref [] in
-      let stack = ref [] in
-      let cur_round = ref 0 in
-      let order = ref 0 in
-      (* ... and per-track cell scope. *)
+      (* Per-track cell scope. *)
       let in_cell = ref false in
       let cell_runs_words = ref 0 in
-      let close_interval (iname, lo0, depth, ord) hi =
-        intervals := { iname; lo = lo0 + 1; hi; depth; order = ord } :: !intervals
+      let on_run { run_end; owned_rounds; span_names } =
+        Option.iter
+          (fun run_words ->
+            incr runs;
+            let rounds_words = ref 0 in
+            List.iter
+              (fun (name, e) ->
+                Option.iter
+                  (fun w ->
+                    incr rounds;
+                    rounds_words := !rounds_words + w;
+                    contribs :=
+                      (name, { azero with a_rounds = 1; a_words = w }) :: !contribs)
+                  (mw e))
+              owned_rounds;
+            List.iter
+              (fun name -> contribs := (name, { azero with a_spans = 1 }) :: !contribs)
+              span_names;
+            contribs :=
+              ("sim.run", { azero with a_spans = 1; a_words = run_words - !rounds_words })
+              :: !contribs;
+            if !in_cell then cell_runs_words := !cell_runs_words + run_words
+            else top_runs_words := !top_runs_words + run_words)
+          (mw run_end)
       in
-      let finish_run run_words =
-        incr runs;
-        List.iter (fun sp -> close_interval sp !cur_round) !stack;
-        stack := [];
-        let best r =
-          List.fold_left
-            (fun best iv ->
-              if iv.lo <= r && r <= iv.hi then
-                match best with
-                | None -> Some iv
-                | Some b ->
-                  let w iv = iv.hi - iv.lo in
-                  if
-                    w iv < w b
-                    || (w iv = w b
-                       && (iv.depth > b.depth
-                          || (iv.depth = b.depth && iv.order > b.order)))
-                  then Some iv
-                  else Some b
-              else best)
-            None !intervals
-        in
-        let rounds_words = ref 0 in
-        List.iter
-          (fun (r, w) ->
-            incr rounds;
-            rounds_words := !rounds_words + w;
-            let name = match best r with Some iv -> iv.iname | None -> "other" in
-            contribs := (name, { azero with a_rounds = 1; a_words = w }) :: !contribs)
-          !round_rows;
-        List.iter
-          (fun iv -> contribs := (iv.iname, { azero with a_spans = 1 }) :: !contribs)
-          !intervals;
-        contribs :=
-          ( "sim.run",
-            { azero with a_spans = 1; a_words = run_words - !rounds_words } )
-          :: !contribs;
-        if !in_cell then cell_runs_words := !cell_runs_words + run_words
-        else top_runs_words := !top_runs_words + run_words;
-        round_rows := [];
-        intervals := [];
-        cur_round := 0
-      in
-      List.iter
-        (fun e ->
-          let mw () = attr_int "minor_words" e.Tel.attrs in
-          match (e.Tel.cat, e.Tel.name, e.Tel.ph) with
-          | "sim", "sim.run", Tel.Begin ->
-            round_rows := [];
-            intervals := [];
-            stack := [];
-            cur_round := 0
-          | "sim", "sim.run", Tel.End ->
-            Option.iter (fun w -> finish_run w) (mw ())
-          | "sim", "round", Tel.Begin ->
-            Option.iter (fun r -> cur_round := r) (attr_int "round" e.Tel.attrs)
-          | "sim", "round", Tel.End ->
-            Option.iter
-              (fun w -> round_rows := (!cur_round, w) :: !round_rows)
-              (mw ())
-          | "core", name, Tel.Begin ->
-            let r0 =
-              Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
-            in
-            stack := (name, r0, List.length !stack, !order) :: !stack;
-            incr order
-          | "core", name, Tel.End -> (
-            let hi =
-              Option.value ~default:!cur_round (attr_int "round" e.Tel.attrs)
-            in
-            match !stack with
-            | (n, _, _, _) :: _ when not (String.equal n name) -> ()
-            | sp :: rest ->
-              stack := rest;
-              close_interval sp hi
-            | [] -> ())
-          | "exec", "cell", Tel.Begin ->
-            in_cell := true;
-            cell_runs_words := 0
-          | "exec", "cell", Tel.End ->
-            in_cell := false;
-            Option.iter
-              (fun w ->
-                cells_words := !cells_words + w;
-                contribs :=
-                  ( "cell",
-                    { azero with a_spans = 1; a_words = w - !cell_runs_words } )
-                  :: !contribs)
-              (mw ())
-          | "exec", "sweep", Tel.End ->
-            Option.iter (fun w -> sweep_words := !sweep_words + w) (mw ())
-          | "alloc", "alloc.process", _ ->
-            Option.iter (fun w -> process_words := Some w) (mw ())
-          | "alloc", "alloc.sample", _ -> (
-            let str k =
-              match List.assoc_opt k e.Tel.attrs with
-              | Some (Tel.Str s) -> Some s
-              | _ -> None
-            in
-            match (str "site", str "phase", attr_int "samples" e.Tel.attrs) with
-            | Some site, Some phase, Some n ->
-              samples := (site, phase, n) :: !samples
-            | _ -> ())
+      let on_event e =
+        match (e.Tel.cat, e.Tel.name, e.Tel.ph) with
+        | "exec", "cell", Tel.Begin ->
+          in_cell := true;
+          cell_runs_words := 0
+        | "exec", "cell", Tel.End ->
+          in_cell := false;
+          Option.iter
+            (fun w ->
+              cells_words := !cells_words + w;
+              contribs :=
+                ("cell", { azero with a_spans = 1; a_words = w - !cell_runs_words })
+                :: !contribs)
+            (mw e)
+        | "exec", "sweep", Tel.End ->
+          Option.iter (fun w -> sweep_words := !sweep_words + w) (mw e)
+        | "alloc", "alloc.process", _ ->
+          Option.iter (fun w -> process_words := Some w) (mw e)
+        | "alloc", "alloc.sample", _ -> (
+          let str k =
+            match List.assoc_opt k e.Tel.attrs with
+            | Some (Tel.Str s) -> Some s
+            | _ -> None
+          in
+          match (str "site", str "phase", attr_int "samples" e.Tel.attrs) with
+          | Some site, Some phase, Some n -> samples := (site, phase, n) :: !samples
           | _ -> ())
-        track_evs)
+        | _ -> ()
+      in
+      walk_track ~on_run ~on_event track_evs)
     tracks;
   (* The sweep's own-domain words, minus the cells (same domain only
      under an inline pool — the subtraction makes the row ~0 under a
@@ -532,7 +479,7 @@ let alloc_summarize evs =
   if harness > 0 then
     contribs := ("harness", { azero with a_spans = 1; a_words = harness }) :: !contribs;
   let rows =
-    group_arollups !contribs
+    group_by_name add_arollup !contribs
     |> List.filter (fun (_, r) -> r.a_words > 0 || r.a_spans > 0 || r.a_rounds > 0)
     |> List.stable_sort (fun (_, a) (_, b) -> Int.compare b.a_words a.a_words)
   in

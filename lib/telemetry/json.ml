@@ -1,7 +1,7 @@
 (* Minimal JSON: a recursive-descent parser for the subset this project
    emits (no json dependency in the image) plus the escaping helper the
-   emitters share. Lifted out of bap_gate so the gate, the telemetry
-   sinks, and bap_trace agree on one wire format. *)
+   emitters share. The one JSON module: the gate, the lint baseline,
+   the telemetry sinks and bap_trace all agree on one wire format. *)
 
 type t =
   | Null

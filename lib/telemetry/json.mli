@@ -1,9 +1,9 @@
 (** Minimal JSON for the project's own wire formats.
 
     The image has no json library, so everything that emits JSON
-    ([bap_tables --stats-json], the JSONL trace sink, metrics snapshots)
-    hand-writes it, and everything that reads it back ([bap_gate],
-    [bap_trace]) parses with this module. The parser covers exactly the
+    ([bap_tables --stats-json], the JSONL trace sink, metrics snapshots,
+    the lint baseline) hand-writes it, and everything that reads it back
+    ([bap_gate], [bap_trace], [bap_lint]) parses with this module. The parser covers exactly the
     subset those emitters produce: objects, arrays, strings with the
     common escapes (newline, tab, quote, backslash, slash), numbers,
     booleans, null. *)

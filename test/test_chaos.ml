@@ -163,6 +163,35 @@ let test_sabotage_caught_and_shrunk () =
   Alcotest.(check (list violation)) "clean without sabotage" []
     (Fuzz.run_one cfg).E.violations
 
+(* The checker's trace-free runs take the counted engine unless the
+   schedule has a network-side fault; the fuzzer's traced runs are
+   always concrete. Both must reach the same decisions, rounds and
+   decision-level verdicts, on the generated schedule and on the same
+   schedule with its edge faults removed (so the counted path runs). *)
+let prop_trace_free_matches_traced =
+  qcheck ~count:40 ~name:"with_trace:false matches with_trace:true"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let cfg = Fuzz.gen_config (Rng.create seed) ~protocols:Fuzz.all_protocols in
+      let no_edge_faults =
+        List.filter
+          (function
+            | Schedule.Drop _ | Duplicate _ | Reorder _ | Corrupt _ -> false
+            | _ -> true)
+          cfg.E.schedule
+      in
+      let observe ~with_trace cfg =
+        let r = E.run ~with_trace ~mutant:Fuzz.mutant cfg in
+        ( r.E.decisions,
+          r.E.rounds,
+          List.filter
+            (function E.Oracle.Monitor_unsound _ -> false | _ -> true)
+            r.E.violations )
+      in
+      List.for_all
+        (fun cfg -> observe ~with_trace:false cfg = observe ~with_trace:true cfg)
+        [ cfg; { cfg with E.schedule = no_edge_faults } ])
+
 let suite =
   [
     Alcotest.test_case "crash + omission storm is safe" `Quick
@@ -175,6 +204,7 @@ let suite =
       test_schedule_gen_deterministic;
     prop_gen_within_envelope;
     Alcotest.test_case "campaign is deterministic" `Quick test_campaign_deterministic;
+    prop_trace_free_matches_traced;
     Alcotest.test_case "ddmin finds the exact minimum" `Quick test_ddmin_minimal;
     Alcotest.test_case "sabotage is caught and shrunk" `Quick
       test_sabotage_caught_and_shrunk;

@@ -1,5 +1,6 @@
 module Table = Bap_stats.Table
 module Summary = Bap_stats.Summary
+module Hash = Bap_stats.Hash
 
 let test_table_alignment () =
   let rendered =
@@ -59,6 +60,26 @@ let test_value_modules () =
   Alcotest.(check bool) "bool encode" true (VB.encode true <> VB.encode false);
   Alcotest.(check int) "string compare" 0 (VS.compare "x" "x")
 
+(* djb2's pinned values, and the 30-bit cell seed: cutting the hash to
+   30 bits equals masking every step, the fold bap_tables' cell seeds
+   were defined by. *)
+let test_djb2 () =
+  Alcotest.(check int) "empty" 5381 (Hash.djb2 "");
+  Alcotest.(check int) "a" ((5381 * 33) + 97) (Hash.djb2 "a");
+  Alcotest.(check int) "wide" 1_759_571_940_035_842_499 (Hash.djb2 "7|doom|cell-3");
+  Alcotest.(check int) "30-bit seed" 445_960_643
+    (Bap_experiments.Common.seed_of_string "7|doom|cell-3")
+
+let prop_seed_of_string_masks_every_step =
+  Helpers.qcheck ~count:500 ~name:"seed_of_string = djb2 masked every step"
+    QCheck2.Gen.string
+    (fun s ->
+      let per_step =
+        String.fold_left (fun h c -> ((h * 33) + Char.code c) land 0x3FFFFFFF) 5381 s
+      in
+      Bap_experiments.Common.seed_of_string s = per_step
+      && Hash.djb2 s >= 0)
+
 let suite =
   [
     Alcotest.test_case "table alignment" `Quick test_table_alignment;
@@ -68,4 +89,6 @@ let suite =
     Alcotest.test_case "mean string" `Quick test_mean_string;
     Alcotest.test_case "summary merge" `Quick test_summary_merge;
     Alcotest.test_case "value domains" `Quick test_value_modules;
+    Alcotest.test_case "djb2 pinned values" `Quick test_djb2;
+    prop_seed_of_string_masks_every_step;
   ]
