@@ -80,7 +80,7 @@ end = struct
         Inbox.firsti inbox ~f:(fun sender -> function
           | W.Committee_vote (tg, s)
             when tg = vote_tag
-                 && Pki.verify pki ~signer:sender ~payload:(W.committee_payload me) s ->
+                 && Wire.verify pki ~signer:sender ~payload:(W.committee_payload me) s ->
             Some s
           | _ -> None)
       in

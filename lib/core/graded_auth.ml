@@ -68,13 +68,27 @@ module Make
 end = struct
   let rounds = 3
 
+  (* A distinct dealer-signed value, with the payload its echoes sign:
+     built once per (dealer, value) per run, not once per echo checked. *)
+  type proposal = { value : V.t; signed : W.signed_value; echo_payload : string }
+
   (* Per-dealer bookkeeping during one run. *)
   type dealer_state = {
-    mutable proposals : (V.t * W.signed_value) list;  (* distinct values seen, dealer-signed *)
+    mutable proposals : proposal list;  (* distinct values seen, dealer-signed *)
     mutable echoes : (V.t * (int * Pki.signature) list) list;  (* per value: distinct echoers *)
     mutable certs : (V.t * W.echo_cert) list;  (* distinct values with a valid certificate *)
     mutable direct : W.signed_value option;  (* round-1 proposal received from the dealer *)
   }
+
+  let find_proposal st w = List.find_opt (fun p -> V.equal p.value w) st.proposals
+
+  (* Records [sv], whose dealer signature the caller has verified, unless
+     its value is already known; [payload] is its echo payload when the
+     caller has built it already. *)
+  let add_proposal ?payload st (sv : W.signed_value) =
+    if Option.is_none (find_proposal st sv.W.sv_value) then
+      let echo_payload = match payload with Some p -> p | None -> W.echo_payload sv in
+      st.proposals <- { value = sv.W.sv_value; signed = sv; echo_payload } :: st.proposals
 
   let gradecast ctx ~pki ~key ~t ~tag v =
     let n = R.n ctx in
@@ -87,10 +101,8 @@ end = struct
          same proposal arrives from up to n senders per round. *)
       if sv.W.sv_dealer = d then begin
         let st = states.(d) in
-        if
-          (not (List.exists (fun (w, _) -> V.equal w sv.W.sv_value) st.proposals))
-          && W.valid_signed_value pki sv
-        then st.proposals <- (sv.W.sv_value, sv) :: st.proposals
+        if Option.is_none (find_proposal st sv.W.sv_value) && W.valid_signed_value pki sv then
+          add_proposal st sv
       end
     in
     let note_echo d echoer (sv : W.signed_value) echo_sig =
@@ -101,18 +113,22 @@ end = struct
           | Some (_, es) -> es
           | None -> []
         in
-        let sv_known_valid =
-          List.exists (fun (w, _) -> V.equal w sv.W.sv_value) st.proposals
-        in
-        if
-          (not (List.mem_assoc echoer existing))
-          && (sv_known_valid || W.valid_signed_value pki sv)
-          && Pki.verify pki ~signer:echoer ~payload:(W.echo_payload sv) echo_sig
-        then begin
-          note_proposal d sv;
-          st.echoes <-
-            (sv.W.sv_value, (echoer, echo_sig) :: existing)
-            :: List.filter (fun (w, _) -> not (V.equal w sv.W.sv_value)) st.echoes
+        if not (List.mem_assoc echoer existing) then begin
+          (* The echo is checked against the payload of its own value:
+             the memo is keyed by (dealer, value), so a signature over
+             one value never counts toward another. *)
+          let payload =
+            match find_proposal st sv.W.sv_value with
+            | Some p -> Some p.echo_payload
+            | None -> if W.valid_signed_value pki sv then Some (W.echo_payload sv) else None
+          in
+          match payload with
+          | Some payload when Wire.verify pki ~signer:echoer ~payload echo_sig ->
+            add_proposal ~payload st sv;
+            st.echoes <-
+              (sv.W.sv_value, (echoer, echo_sig) :: existing)
+              :: List.filter (fun (w, _) -> not (V.equal w sv.W.sv_value)) st.echoes
+          | _ -> ()
         end
       end
     in
@@ -124,7 +140,7 @@ end = struct
           (not (List.exists (fun (w, _) -> V.equal w v') st.certs))
           && W.valid_echo_cert pki ~threshold:quorum cert
         then begin
-          note_proposal d cert.W.ec_signed;
+          add_proposal st cert.W.ec_signed;
           st.certs <- (v', cert) :: st.certs
         end
       end
@@ -144,8 +160,9 @@ end = struct
           (function
             | W.Gcast_init (tg, sv)
               when tg = tag && sv.W.sv_dealer = sender && W.valid_signed_value pki sv ->
-              note_proposal sender sv;
-              if Option.is_none states.(sender).direct then states.(sender).direct <- Some sv
+              let st = states.(sender) in
+              add_proposal st sv;
+              if Option.is_none st.direct then st.direct <- Some sv
             | _ -> ())
           msgs);
     (* Round 2: echo the directly received proposals. *)
@@ -155,7 +172,8 @@ end = struct
           match st.direct with
           | None -> None
           | Some sv ->
-            Some { W.ge_signed = sv; ge_sig = Pki.sign key (W.echo_payload sv) })
+            let p = Option.get (find_proposal st sv.W.sv_value) in
+            Some { W.ge_signed = sv; ge_sig = Pki.sign key p.echo_payload })
         (Array.to_list states)
     in
     let inbox2 = R.broadcast ctx (W.Gcast_echo (tag, my_echoes)) in
@@ -177,9 +195,7 @@ end = struct
           (fun (w, echoers) ->
             if List.length echoers >= quorum && Option.is_none own_cert_round2.(d) then begin
               let signed =
-                match List.find_opt (fun (w', _) -> V.equal w w') st.proposals with
-                | Some (_, sv) -> sv
-                | None -> assert false
+                match find_proposal st w with Some p -> p.signed | None -> assert false
               in
               let cert = { W.ec_signed = signed; ec_echoes = echoers } in
               own_cert_round2.(d) <- Some cert;
@@ -195,7 +211,7 @@ end = struct
           let cert = own_cert_round2.(d) in
           let conflict =
             match states.(d).proposals with
-            | (_, a) :: (_, b) :: _ -> Some (a, b)
+            | a :: b :: _ -> Some (a.signed, b.signed)
             | _ -> None
           in
           match (cert, conflict) with

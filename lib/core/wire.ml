@@ -11,6 +11,12 @@ module Pki = Bap_crypto.Pki
 module Encode = Bap_crypto.Encode
 module Advice = Bap_prediction.Advice
 
+(* Every signature check of the protocol stack goes through here, so the
+   [wire.pki_verify] counter gives the verify calls per traced run. *)
+let verify pki ~signer ~payload s =
+  Bap_telemetry.Telemetry.Metrics.counter "wire.pki_verify" 1;
+  Pki.verify pki ~signer ~payload s
+
 module type S = sig
   type value
 
@@ -210,7 +216,7 @@ module Make (V : Value.S) : S with type value = V.t = struct
     Encode.tagged "chain-link" (Encode.pair (encode_chain prev) (encode_committee_cert cert))
 
   let valid_signed_value pki sv =
-    Pki.verify pki ~signer:sv.sv_dealer
+    verify pki ~signer:sv.sv_dealer
       ~payload:(dealer_payload ~dealer:sv.sv_dealer sv.sv_value)
       sv.sv_sig
 
@@ -222,18 +228,14 @@ module Make (V : Value.S) : S with type value = V.t = struct
     valid_signed_value pki cert.ec_signed
     && List.length cert.ec_echoes >= threshold
     && distinct_signers cert.ec_echoes
-    && List.for_all
-         (fun (echoer, s) ->
-           Pki.verify pki ~signer:echoer ~payload:(echo_payload cert.ec_signed) s)
-         cert.ec_echoes
+    && (let payload = echo_payload cert.ec_signed in
+        List.for_all (fun (echoer, s) -> verify pki ~signer:echoer ~payload s) cert.ec_echoes)
 
   let valid_committee_cert pki ~quorum cert =
     List.length cert.cc_sigs >= quorum
     && distinct_signers cert.cc_sigs
-    && List.for_all
-         (fun (signer, s) ->
-           Pki.verify pki ~signer ~payload:(committee_payload cert.cc_member) s)
-         cert.cc_sigs
+    && (let payload = committee_payload cert.cc_member in
+        List.for_all (fun (signer, s) -> verify pki ~signer ~payload s) cert.cc_sigs)
 
   let rec chain_value = function
     | Chain_root { value; _ } -> value
@@ -254,11 +256,11 @@ module Make (V : Value.S) : S with type value = V.t = struct
   let rec valid_links pki ~quorum = function
     | Chain_root { value; cert; link_sig } ->
       valid_committee_cert pki ~quorum cert
-      && Pki.verify pki ~signer:cert.cc_member ~payload:(chain_root_payload value cert) link_sig
+      && verify pki ~signer:cert.cc_member ~payload:(chain_root_payload value cert) link_sig
     | Chain_link { prev; signer; cert; link_sig } ->
       cert.cc_member = signer
       && valid_committee_cert pki ~quorum cert
-      && Pki.verify pki ~signer ~payload:(chain_link_payload prev cert) link_sig
+      && verify pki ~signer ~payload:(chain_link_payload prev cert) link_sig
       && valid_links pki ~quorum prev
 
   let valid_chain pki ~quorum ~sender ~length chain =
@@ -300,9 +302,9 @@ module Make (V : Value.S) : S with type value = V.t = struct
 
   let rec valid_ds_links pki = function
     | Ds_root { sender; value; link_sig } ->
-      Pki.verify pki ~signer:sender ~payload:(ds_root_payload ~sender value) link_sig
+      verify pki ~signer:sender ~payload:(ds_root_payload ~sender value) link_sig
     | Ds_link { prev; signer; link_sig } ->
-      Pki.verify pki ~signer ~payload:(ds_link_payload prev) link_sig
+      verify pki ~signer ~payload:(ds_link_payload prev) link_sig
       && valid_ds_links pki prev
 
   let valid_ds_chain pki ~sender ~length chain =

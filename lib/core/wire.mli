@@ -10,6 +10,11 @@
 module Pki = Bap_crypto.Pki
 module Advice = Bap_prediction.Advice
 
+val verify : Pki.t -> signer:int -> payload:string -> Pki.signature -> bool
+(** {!Pki.verify}, counted: each call adds one to the [wire.pki_verify]
+    telemetry counter (a no-op when telemetry is off). Every signature
+    check of the protocol stack goes through it. *)
+
 module type S = sig
   type value
 

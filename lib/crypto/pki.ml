@@ -3,13 +3,23 @@
    The per-PKI [universe] stamp prevents replay across executions. The
    counter is atomic because executions run concurrently on multiple
    domains (lib/exec): with a plain ref, two racing [create]s could mint
-   the same universe and signatures would replay across them. *)
+   the same universe and signatures would replay across them.
+
+   A signature carries its payload, which [verify] compares in full, and
+   a fixed-size digest of it, stamped once by [sign]. [encode] emits the
+   digest, so a signature embedded in another payload (a chain link, a
+   certificate) costs constant bytes however long the payload it signs. *)
 
 let next_universe = Atomic.make 0
 
 type t = { universe : int; size : int }
 type key = { key_universe : int; owner : int }
-type signature = { sig_universe : int; sig_signer : int; sig_payload : string }
+type signature = {
+  sig_universe : int;
+  sig_signer : int;
+  sig_payload : string;
+  sig_digest : string;
+}
 
 let create ~n =
   if n <= 0 then invalid_arg "Pki.create: n must be positive";
@@ -24,7 +34,12 @@ let key t i =
 let signer_of_key k = k.owner
 
 let sign k payload =
-  { sig_universe = k.key_universe; sig_signer = k.owner; sig_payload = payload }
+  {
+    sig_universe = k.key_universe;
+    sig_signer = k.owner;
+    sig_payload = payload;
+    sig_digest = Digest.string payload;
+  }
 
 let signer s = s.sig_signer
 
@@ -32,7 +47,7 @@ let verify t ~signer ~payload s =
   s.sig_universe = t.universe && s.sig_signer = signer && String.equal s.sig_payload payload
 
 let encode s =
-  Encode.triple (Encode.int s.sig_universe) (Encode.int s.sig_signer) (Encode.str s.sig_payload)
+  Encode.triple (Encode.int s.sig_universe) (Encode.int s.sig_signer) (Encode.str s.sig_digest)
 
 let equal a b =
   a.sig_universe = b.sig_universe && a.sig_signer = b.sig_signer

@@ -30,7 +30,8 @@ val key : t -> int -> key
 val signer_of_key : key -> int
 
 val sign : key -> string -> signature
-(** Sign a canonical payload (see {!Encode}). *)
+(** Sign a canonical payload (see {!Encode}). The signature keeps the
+    payload for {!verify} and a fixed-size digest of it for {!encode}. *)
 
 val signer : signature -> int
 (** Claimed signer; trustworthy only in combination with {!verify}. *)
@@ -40,9 +41,13 @@ val verify : t -> signer:int -> payload:string -> signature -> bool
     under this very PKI. *)
 
 val encode : signature -> string
-(** Injective encoding of a signature value, for embedding inside other
-    signed payloads (e.g. signature chains). Not a constructor: decoding
-    is deliberately not provided. *)
+(** Constant-size encoding of a signature value — universe, signer and
+    the digest of the signed payload — for embedding inside other signed
+    payloads (e.g. signature chains), so those grow linearly in the
+    number of signatures they carry. Injective up to digest collisions.
+    A collision still cannot forge a signature: {!verify} compares the
+    full payload, not the digest. Not a constructor: decoding is
+    deliberately not provided. *)
 
 val equal : signature -> signature -> bool
 val compare : signature -> signature -> int

@@ -94,6 +94,47 @@ let test_chain_foreign_cert () =
   Alcotest.(check bool) "cert must match signer" false
     (W.valid_chain pki ~quorum:3 ~sender:4 ~length:2 c2)
 
+(* Signatures embed in later payloads at a constant size, so a committee
+   chain's payload grows by the same bytes per link (the paper's Sec 8.1
+   cost model), not by a copy of the whole prefix. *)
+let test_chain_grows_linearly () =
+  let n = 31 and t = 12 and links = 9 in
+  let quorum = t + 1 in
+  let pki = make_pki n in
+  let honest k payload = Pki.sign (Pki.key pki k) payload in
+  (* Link k is signed by process k; returns the chain and the payload
+     each link 1 .. links-1 signed. *)
+  let build ?(sign_link = honest) v =
+    let rec go chain k payloads =
+      if k = links then (chain, List.rev payloads)
+      else
+        let cert = make_cert pki ~quorum ~member:k in
+        let payload = W.chain_link_payload chain cert in
+        let link_sig = sign_link k payload in
+        go (W.Chain_link { prev = chain; signer = k; cert; link_sig }) (k + 1) (payload :: payloads)
+    in
+    go (make_root pki ~quorum ~sender:0 v) 1 []
+  in
+  let chain, payloads = build 77 in
+  let sizes = List.map String.length payloads in
+  let rec steps = function a :: (b :: _ as rest) -> (b - a) :: steps rest | _ -> [] in
+  let steps = steps sizes in
+  Alcotest.(check (list int)) "same bytes per link" (List.map (fun _ -> List.hd steps) steps) steps;
+  let last = List.nth sizes (List.length sizes - 1) in
+  Alcotest.(check bool) (Printf.sprintf "9-link payload %d B under 8 kB" last) true (last < 8_000);
+  Alcotest.(check bool) "9-link chain valid" true
+    (W.valid_chain pki ~quorum ~sender:0 ~length:links chain);
+  (* Link 4 carries its signer's signature over the same position of a
+     chain with another root value; every later link signs over that
+     swapped signature, so link 4 alone is at fault. *)
+  let _, other = build 78 in
+  let swapped, _ =
+    build 77 ~sign_link:(fun k payload ->
+        if k = 4 then honest k (List.nth other (k - 1)) else honest k payload)
+  in
+  Alcotest.(check bool) "swapped link signature rejected" false
+    (W.valid_chain pki ~quorum ~sender:0 ~length:links swapped)
+
 let make_ds_root pki ~sender v =
   let link_sig = Pki.sign (Pki.key pki sender) (W.ds_root_payload ~sender v) in
   W.Ds_root { sender; value = v; link_sig }
@@ -150,7 +191,27 @@ let test_echo_cert () =
   (* Tampered inner value invalidates the dealer signature. *)
   let bad = { cert with W.ec_signed = { sv with W.sv_value = 6 } } in
   Alcotest.(check bool) "tampered dealer value" false
-    (W.valid_echo_cert pki ~threshold:4 bad)
+    (W.valid_echo_cert pki ~threshold:4 bad);
+  (* One echoer signs dealer 3's echo payload for the same value: the
+     certificate checks every echo against its own dealer's payload. *)
+  let other =
+    {
+      W.sv_dealer = 3;
+      sv_value = 5;
+      sv_sig = Pki.sign (Pki.key pki 3) (W.dealer_payload ~dealer:3 5);
+    }
+  in
+  let crossed =
+    {
+      cert with
+      W.ec_echoes =
+        List.map
+          (fun (j, s) -> if j = 1 then (j, Pki.sign (Pki.key pki j) (W.echo_payload other)) else (j, s))
+          cert.W.ec_echoes;
+    }
+  in
+  Alcotest.(check bool) "echo over another dealer's payload" false
+    (W.valid_echo_cert pki ~threshold:4 crossed)
 
 let suite =
   [
@@ -169,4 +230,5 @@ let suite =
     Alcotest.test_case "ds chain duplicate signer" `Quick test_ds_chain_duplicate;
     Alcotest.test_case "ds chain tamper" `Quick test_ds_chain_tamper;
     Alcotest.test_case "echo certificates" `Quick test_echo_cert;
+    Alcotest.test_case "chain payload grows linearly" `Quick test_chain_grows_linearly;
   ]
