@@ -4,9 +4,8 @@
    measure the n-scaling curve locally. Exits non-zero if the run
    fails to decide or to agree, so CI fails loud. *)
 
-let run n f mode json =
-  let mode = match mode with "concrete" -> `Concrete | _ -> `Auto in
-  let r = Scale_probe.run ~mode ~n ~f () in
+let run n f json =
+  let r = Scale_probe.run ~n ~f () in
   if json then
     Printf.printf
       "{\"n\": %d, \"f\": %d, \"rounds\": %d, \"msgs\": %d, \"bits\": %d, \
@@ -30,20 +29,12 @@ let f_arg =
     & info [ "f" ] ~docv:"F"
         ~doc:"Number of silent faulty processes (clamped to (n-1)/3).")
 
-let mode_arg =
-  Arg.(
-    value
-    & opt (enum [ ("counted", "counted"); ("concrete", "concrete") ]) "counted"
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Engine selection: the counted fast path or the concrete \
-              per-pair reference.")
-
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as one JSON object.")
 
 let cmd =
   let doc = "time one large-n wrapper instance through the scalable core" in
   let info = Cmd.info "bap_scale" ~doc in
-  Cmd.v info Term.(const run $ n_arg $ f_arg $ mode_arg $ json_arg)
+  Cmd.v info Term.(const run $ n_arg $ f_arg $ json_arg)
 
 let () = exit (Cmd.eval' cmd)

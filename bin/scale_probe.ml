@@ -25,7 +25,7 @@ type result = {
   wall_ms : float;
 }
 
-let run ?(mode = `Auto) ~n ~f () =
+let run ~n ~f () =
   let t = (n - 1) / 3 in
   let f = min f t in
   let rng = Rng.create ((17 * n) + f) in
@@ -34,7 +34,7 @@ let run ?(mode = `Auto) ~n ~f () =
   let inputs = Array.init n (fun i -> i mod 2) in
   let t0 = Unix.gettimeofday () in
   let o =
-    S.run_unauth ~mode ~adversary:Bap_sim.Adversary.silent ~t ~faulty ~inputs ~advice ()
+    S.run_unauth ~adversary:Bap_sim.Adversary.silent ~t ~faulty ~inputs ~advice ()
   in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let honest = List.length (S.R.honest_decisions o) in

@@ -81,12 +81,11 @@ module Make (V : Bap_core.Value.S) = struct
     let bound = round_bound cfg in
     let adversary = Injector.adversary ~mutant cfg.schedule in
     let network = Injector.network cfg.schedule in
-    (* Without a trace and without network-side faults (no hook) the
-       runtime takes its counted fast path and the monitor oracle is
-       skipped: the decision-level oracles (agreement/validity/
-       termination) still run. The model checker uses this to afford
-       exhaustive enumeration; the fuzzer keeps the full-observer
-       default. *)
+    (* Without a trace the runtime skips its per-edge trace pass and
+       the monitor oracle is skipped: the decision-level oracles
+       (agreement/validity/termination) still run. The model checker
+       uses this to afford exhaustive enumeration; the fuzzer keeps the
+       full-observer default. *)
     let trace = if with_trace then Some (Trace.create ~limit:2_000_000 ()) else None in
     let max_rounds = bound + 5 in
     let outcome =

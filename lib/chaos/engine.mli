@@ -58,11 +58,12 @@ module Make (V : Bap_core.Value.S) : sig
       green. [mutant salt v] must differ from [v] for equivocation to
       bite. [with_trace] (default [true]) records a delivery trace and
       runs the monitor-soundness oracle; the model checker turns it off
-      so that every schedule without a network-side fault ([Drop],
-      [Duplicate], [Reorder], [Corrupt]) runs on the runtime's counted
-      fast path — the decision-level oracles (agreement, validity,
-      termination) still run. A network-side fault installs the
-      [?network] hook, which keeps the run on the concrete path. *)
+      to skip the trace's per-edge pass and its memory — the
+      decision-level oracles (agreement, validity, termination) still
+      run. Either way the run goes through the runtime's one counted
+      engine; a network-side fault ([Drop], [Duplicate], [Reorder],
+      [Corrupt]) installs the [?network] hook, which rewrites only the
+      edges it names. *)
 
   val pp_config : Format.formatter -> config -> unit
   val pp_report : Format.formatter -> report -> unit

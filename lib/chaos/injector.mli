@@ -31,6 +31,8 @@ module Make (V : Bap_core.Value.S) (W : Bap_core.Wire.S with type value = V.t) :
   (** All network-side faults of the schedule ([Drop], [Duplicate],
       [Reorder], [Corrupt]), as the runtime's [?network] hook. Touches
       every edge — this is where envelope-probing faults on honest
-      traffic live. [None] when the schedule has no network-side fault:
-      no hook is installed, so the runtime may take its counted path. *)
+      traffic live. An edge no fault names gets its list back physically
+      unchanged, so the runtime keeps it aggregated. [None] when the
+      schedule has no network-side fault: no hook is installed and the
+      runtime skips its per-edge pass. *)
 end

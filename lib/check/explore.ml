@@ -14,13 +14,13 @@
    layer in both orders — for BFS that is literally the peak resident
    frontier.
 
-   Engine runs go through the trace-free path ([E.run ~with_trace:false]),
-   which is the counted engine for every schedule without a network-side
-   fault (those install the network hook and run concrete): the
-   monitor-soundness oracle needs a delivery trace and is therefore out
-   of the checker's scope (the sampled fuzzer keeps it); agreement,
-   validity and the round bound are checked on every state. Stats are mirrored into the telemetry
-   metrics registry under [check.*]. *)
+   Engine runs skip the delivery trace ([E.run ~with_trace:false]); the
+   runtime's counted engine runs every schedule, with the network hook
+   installed when the schedule has a network-side fault. The
+   monitor-soundness oracle needs the trace and is therefore out of the
+   checker's scope (the sampled fuzzer keeps it); agreement, validity
+   and the round bound are checked on every state. Stats are mirrored
+   into the telemetry metrics registry under [check.*]. *)
 
 module E = Bap_chaos.Fuzz.E
 module Fuzz = Bap_chaos.Fuzz

@@ -69,12 +69,11 @@ module Make (V : Value.S) = struct
     if Array.length faulty > t then invalid_arg "Stack: more faulty processes than t";
     n
 
-  let run_unauth ?(adversary = Adversary.passive) ?trace ?max_rounds ?network ?mode
-      ?config ?value_predictions ~t ~faulty ~inputs ~advice () :
-      V.t Wrapper.result R.outcome =
+  let run_unauth ?(adversary = Adversary.passive) ?trace ?max_rounds ?network ?config
+      ?value_predictions ~t ~faulty ~inputs ~advice () : V.t Wrapper.result R.outcome =
     let n = check_args ~t ~faulty ~inputs ~advice in
     let config = Option.value config ~default:(unauth_config ~t) in
-    R.run ?max_rounds ?trace ?network ?mode ~msg_size:W.size_bits
+    R.run ?max_rounds ?trace ?network ~msg_size:W.size_bits
       ~group_key:W.encode_plain ~n ~faulty ~adversary (fun ctx ->
         let i = R.id ctx in
         let value_prediction =
@@ -82,15 +81,15 @@ module Make (V : Value.S) = struct
         in
         Wrapper.run ?value_prediction config ctx ~t inputs.(i) advice.(i))
 
-  let run_auth ?adversary ?trace ?max_rounds ?network ?mode ?value_predictions ~t
-      ~faulty ~inputs ~advice () : V.t Wrapper.result R.outcome * Pki.t =
+  let run_auth ?adversary ?trace ?max_rounds ?network ?value_predictions ~t ~faulty
+      ~inputs ~advice () : V.t Wrapper.result R.outcome * Pki.t =
     let n = check_args ~t ~faulty ~inputs ~advice in
     let pki = Pki.create ~n in
     let adversary =
       match adversary with Some make -> make pki | None -> Adversary.passive
     in
     let outcome =
-      R.run ?max_rounds ?trace ?network ?mode ~msg_size:W.size_bits
+      R.run ?max_rounds ?trace ?network ~msg_size:W.size_bits
         ~group_key:W.encode_plain ~n ~faulty ~adversary (fun ctx ->
           let i = R.id ctx in
           let key = Pki.key pki i in

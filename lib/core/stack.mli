@@ -46,7 +46,6 @@ module Make (V : Value.S) : sig
     ?trace:W.t Trace.t ->
     ?max_rounds:int ->
     ?network:(round:int -> src:int -> dst:int -> W.t list -> W.t list) ->
-    ?mode:[ `Auto | `Concrete ] ->
     ?config:Wrapper.config ->
     ?value_predictions:V.t array ->
     t:int ->
@@ -64,7 +63,6 @@ module Make (V : Value.S) : sig
     ?trace:W.t Trace.t ->
     ?max_rounds:int ->
     ?network:(round:int -> src:int -> dst:int -> W.t list -> W.t list) ->
-    ?mode:[ `Auto | `Concrete ] ->
     ?value_predictions:V.t array ->
     t:int ->
     faulty:int array ->

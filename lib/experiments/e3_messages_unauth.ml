@@ -11,7 +11,7 @@ open Common
 let plan ?(quick = false) () =
   let sizes =
     (* The counted core makes the large points affordable: the n=1000
-       cell runs in seconds where the concrete engine took minutes. *)
+       cell runs in seconds where a per-pair round takes minutes. *)
     if quick then [ 16; 25; 31 ] else [ 16; 31; 46; 61; 125; 250; 500; 1000 ]
   in
   let cell n =

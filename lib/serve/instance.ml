@@ -145,13 +145,23 @@ let response_id payload =
 
 (* ---------- execution ---------- *)
 
-(* Cooperative cancellation on every delivered edge: a supervised
-   instance observes its watchdog deadline mid-round instead of only
-   between attempts; outside supervision, tick is a no-op and the hook
-   is the identity, so metrics and results are untouched. *)
-let tick_network ~round:_ ~src:_ ~dst:_ msgs =
-  Supervisor.tick ();
-  msgs
+(* Cooperative cancellation once per round: the silent adversary whose
+   [inject] ticks the supervisor, so a supervised instance of any family
+   observes its watchdog deadline mid-run instead of only between
+   attempts. Outside supervision the tick is a no-op, and the adversary
+   injects nothing and mutes the faulty processes exactly as
+   [Adversary.silent] does, so metrics and results are untouched. *)
+let ticking_silent : _ C.Adversary.t =
+  {
+    C.Adversary.name = "silent";
+    make =
+      (fun ~n:_ ~faulty:_ ->
+        C.Adversary.handlers ~filter:C.Adversary.mute_filter
+          ~inject:(fun _view ->
+            Supervisor.tick ();
+            [])
+          ());
+  }
 
 let execute s =
   let t = t_of s.family ~n:s.n in
@@ -162,8 +172,8 @@ let execute s =
   match s.family with
   | Unauth ->
     let o =
-      C.S.run_unauth ~adversary:C.Adversary.silent ~network:tick_network ~t
-        ~faulty:w.C.faulty ~inputs:w.C.inputs ~advice:w.C.advice ()
+      C.S.run_unauth ~adversary:ticking_silent ~t ~faulty:w.C.faulty
+        ~inputs:w.C.inputs ~advice:w.C.advice ()
     in
     {
       decided = C.S.decision_round o;
@@ -176,9 +186,8 @@ let execute s =
   | Auth ->
     let o, _ =
       C.S.run_auth
-        ~adversary:(fun _ -> C.Adversary.silent)
-        ~network:tick_network ~t ~faulty:w.C.faulty ~inputs:w.C.inputs
-        ~advice:w.C.advice ()
+        ~adversary:(fun _ -> ticking_silent)
+        ~t ~faulty:w.C.faulty ~inputs:w.C.inputs ~advice:w.C.advice ()
     in
     {
       decided = C.S.decision_round o;
@@ -192,10 +201,10 @@ let execute s =
     let r =
       match s.family with
       | Es ->
-        C.B.run_early_stopping ~adversary:C.Adversary.silent ~t
+        C.B.run_early_stopping ~adversary:ticking_silent ~t
           ~faulty:w.C.faulty ~inputs:w.C.inputs ()
       | _ ->
-        C.B.run_phase_king ~adversary:C.Adversary.silent ~t ~faulty:w.C.faulty
+        C.B.run_phase_king ~adversary:ticking_silent ~t ~faulty:w.C.faulty
           ~inputs:w.C.inputs ()
     in
     {

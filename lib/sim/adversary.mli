@@ -56,9 +56,9 @@ val handlers :
   'msg handlers
 (** Handlers with identity/empty defaults. Pass the exported combinators
     above (they are the defaults) rather than re-implementing them: the
-    runtime's counted fast path recognises them {e physically} and skips
-    the per-pair calls they would make — any observably equivalent
-    closure stays correct but runs on the per-pair path. *)
+    runtime recognises them {e physically} and skips the per-recipient
+    calls they would make — an equivalent closure stays correct but
+    costs one call and one direct entry per recipient. *)
 
 type 'msg t = {
   name : string;

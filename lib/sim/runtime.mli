@@ -12,21 +12,14 @@
     function calls — Algorithm 1 of the paper is literally a [for] loop
     over function calls.
 
-    Two delivery engines implement the same semantics:
-
-    - the {e concrete} per-pair path routes every message individually
-      through a pair of arena-backed n x n matrices; it is the reference
-      semantics and the only path when a trace or network hook observes
-      individual edges;
-    - the {e counted} path aggregates identical honest broadcasts into
-      (payload, sender-bitset) groups and never materialises the n
-      copies, falling back to per-pair handling only for function-shaped
-      outboxes and for faulty senders whose filter is not one of the
-      canonical {!Adversary} combinators.
-
-    The two paths are byte-identical in every observable: decisions,
-    rounds, all message/bit accounting, adversary call order, and raised
-    exceptions (asserted by differential tests at small n). *)
+    Every run goes through the {e counted} round ({!S.run}): identical
+    honest broadcasts aggregate into (payload, sender-bitset) groups and
+    everything else becomes per-recipient direct entries. A [trace] or a
+    [network] hook adds a pass over every edge, O(n{^ 2}) per round.
+    {!S.reference_run} is the plain per-pair round, kept as the oracle of
+    the differential tests, which assert that the two agree in every
+    observable: decisions, rounds, message/bit accounting, trace events,
+    adversary and hook call order, and raised exceptions. *)
 
 module type MSG = sig
   type t
@@ -100,51 +93,60 @@ module type S = sig
 
   exception Round_limit_exceeded of int
 
-  val run :
+  type 'r runner =
     ?max_rounds:int ->
     ?trace:msg Trace.t ->
     ?msg_size:(msg -> int) ->
     ?network:(round:int -> src:int -> dst:int -> msg list -> msg list) ->
-    ?group_key:(msg -> string option) ->
-    ?mode:[ `Auto | `Concrete ] ->
     n:int ->
     faulty:int array ->
     adversary:msg Adversary.t ->
     (ctx -> 'r) ->
     'r outcome
+  (** One execution's arguments, shared by {!run} and {!reference_run}. *)
+
+  val run : ?group_key:(msg -> string option) -> 'r runner
   (** Execute one synchronous run. Every process (honest and faulty) runs
       the given function; faulty copies are puppets whose messages the
       adversary rewrites or replaces (see {!Adversary}). The run ends when
       every honest process has returned.
 
       [network] is the fault-injection hook of the chaos layer: after the
-      adversary has fixed the round's traffic, [network ~round ~src ~dst
-      msgs] rewrites the messages in flight on every directed edge
-      (including self-delivery edges — leave those untouched to stay
-      within the synchronous model). It runs before metric accounting and
-      trace recording, so both reflect what was actually delivered.
+      adversary has fixed the round's traffic (filters, then injections),
+      [network ~round ~src ~dst msgs] rewrites the messages in flight on
+      every directed edge, sources ascending, then recipients (including
+      self-delivery edges — leave those untouched to stay within the
+      synchronous model). It runs before metric accounting and trace
+      recording, so both reflect what was actually delivered. Returning
+      the list physically unchanged keeps the edge on the aggregated
+      path; any other result becomes a direct entry for that recipient.
       Perturbing honest-to-honest edges beyond reordering or duplication
       steps outside the paper's reliable-channel model; the chaos layer's
       schedule generator keeps inside it, but the hook itself is
       deliberately unrestricted so tests can probe the envelope.
 
-      [group_key] enables broadcast aggregation on the counted path: it
-      must be an {e injective} encoding of a message ([None] for messages
-      that must not be grouped, e.g. signed ones — they then travel as
-      per-sender entries). Omitting it still avoids the n x n matrices
-      but aggregates nothing. [msg_size] and [group_key] are called once
-      per distinct payload on the counted path and once per delivered
-      message on the concrete one, so both must be pure.
+      [trace] records [Round_begin]/[Round_end] around each round, one
+      [Deliver] per delivered message in edge order (sources ascending,
+      then recipients) and one [Decide] per returning process.
 
-      [mode] selects the engine: [`Auto] (default) uses the counted path
-      whenever no [trace] and no [network] hook is installed, [`Concrete]
-      forces the per-pair reference path (differential testing).
+      [group_key] enables broadcast aggregation: it must be an
+      {e injective} encoding of a message ([None] for messages that must
+      not be grouped, e.g. signed ones — they then travel as per-sender
+      entries). Below n = 19 it is ignored: keying every broadcast costs
+      more than the per-sender entries it saves. Omitting it still avoids
+      the n x n matrices but aggregates nothing. [msg_size] and
+      [group_key] are called once per distinct payload, so both must be
+      pure.
 
       @raise Round_limit_exceeded after [max_rounds] (default 100_000)
       rounds with honest processes still running.
       @raise Invalid_argument if a faulty id is out of range or the
       adversary injects a message from a non-faulty or out-of-range
       source, or to an out-of-range destination. *)
+
+  val reference_run : 'r runner
+  (** {!run}'s semantics through a per-pair round (two n x n matrices per
+      round): the differential tests' oracle, not for running protocols. *)
 
   val honest_decisions : 'r outcome -> (int * 'r) list
   (** Decisions of the honest processes, as [(id, value)] pairs. *)

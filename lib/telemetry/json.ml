@@ -13,6 +13,23 @@ type t =
 
 exception Parse of string
 
+(* Deeper nesting than any emitter writes is rejected up front: the
+   recursive descent would otherwise spend time (and stack) in
+   proportion to adversarial input such as a megabyte of '['. *)
+let max_depth = 512
+
+(* UTF-8 of a code point below 0x10000. *)
+let add_utf8 b cp =
+  let byte x = Buffer.add_char b (Char.chr x) in
+  if cp < 0x80 then byte cp
+  else if cp < 0x800 then (
+    byte (0xc0 lor (cp lsr 6));
+    byte (0x80 lor (cp land 0x3f)))
+  else (
+    byte (0xe0 lor (cp lsr 12));
+    byte (0x80 lor ((cp lsr 6) land 0x3f));
+    byte (0x80 lor (cp land 0x3f)))
+
 let parse (s : string) : t =
   let n = String.length s in
   let pos = ref 0 in
@@ -35,6 +52,25 @@ let parse (s : string) : t =
     String.iter expect word;
     v
   in
+  (* A \u escape, cursor on the 'u'. Surrogates (code points past the
+     BMP) are not supported: no emitter writes them. *)
+  let unicode_escape () =
+    advance ();
+    if !pos + 4 > n then fail "truncated \\u escape";
+    let digit = function
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let cp = ref 0 in
+    for _ = 1 to 4 do
+      cp := (!cp lsl 4) lor digit s.[!pos];
+      advance ()
+    done;
+    if !cp >= 0xd800 && !cp <= 0xdfff then fail "unsupported surrogate escape";
+    !cp
+  in
   let string_lit () =
     expect '"';
     let b = Buffer.create 16 in
@@ -45,12 +81,12 @@ let parse (s : string) : t =
       | Some '\\' ->
         advance ();
         (match peek () with
-        | Some 'n' -> Buffer.add_char b '\n'
-        | Some 't' -> Buffer.add_char b '\t'
-        | Some 'r' -> Buffer.add_char b '\r'
-        | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c
+        | Some 'u' -> add_utf8 b (unicode_escape ())
+        | Some 'n' -> Buffer.add_char b '\n'; advance ()
+        | Some 't' -> Buffer.add_char b '\t'; advance ()
+        | Some 'r' -> Buffer.add_char b '\r'; advance ()
+        | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c; advance ()
         | _ -> fail "unsupported escape");
-        advance ();
         go ()
       | Some c ->
         Buffer.add_char b c;
@@ -72,9 +108,11 @@ let parse (s : string) : t =
     | Some f -> f
     | None -> fail "bad number"
   in
-  let rec value () =
+  let rec value depth =
     skip_ws ();
     match peek () with
+    | Some ('{' | '[') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -87,7 +125,7 @@ let parse (s : string) : t =
           let k = string_lit () in
           skip_ws ();
           expect ':';
-          let v = value () in
+          let v = value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -107,7 +145,7 @@ let parse (s : string) : t =
         List [])
       else
         let rec items acc =
-          let v = value () in
+          let v = value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -126,7 +164,7 @@ let parse (s : string) : t =
     | Some _ -> Num (number ())
     | None -> fail "unexpected end of input"
   in
-  let v = value () in
+  let v = value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

@@ -5,8 +5,10 @@
     the lint baseline) hand-writes it, and everything that reads it back
     ([bap_gate], [bap_trace], [bap_lint]) parses with this module. The parser covers exactly the
     subset those emitters produce: objects, arrays, strings with the
-    common escapes (newline, tab, quote, backslash, slash), numbers,
-    booleans, null. *)
+    common escapes (newline, tab, carriage return, quote, backslash,
+    slash) and the [\uXXXX] ones {!escape} writes (any code point
+    outside the surrogate range, decoded to UTF-8), numbers, booleans,
+    null. *)
 
 type t =
   | Null
@@ -19,8 +21,12 @@ type t =
 exception Parse of string
 (** Raised by {!parse} with a human-readable reason and byte offset. *)
 
+val max_depth : int
+(** Arrays and objects nested deeper than this are rejected. *)
+
 val parse : string -> t
-(** Parse one complete JSON value; trailing garbage is an error. *)
+(** Parse one complete JSON value; trailing garbage is an error, and so
+    is nesting deeper than {!max_depth}. *)
 
 val member : string -> t -> t option
 (** [member k j] is the field [k] of object [j], if any. *)

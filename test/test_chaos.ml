@@ -163,11 +163,10 @@ let test_sabotage_caught_and_shrunk () =
   Alcotest.(check (list violation)) "clean without sabotage" []
     (Fuzz.run_one cfg).E.violations
 
-(* The checker's trace-free runs take the counted engine unless the
-   schedule has a network-side fault; the fuzzer's traced runs are
-   always concrete. Both must reach the same decisions, rounds and
-   decision-level verdicts, on the generated schedule and on the same
-   schedule with its edge faults removed (so the counted path runs). *)
+(* The checker's runs skip the delivery trace; the fuzzer's runs record
+   it. Both must reach the same decisions, rounds and decision-level
+   verdicts, on the generated schedule and on the same schedule with its
+   edge faults removed (so no network hook is installed). *)
 let prop_trace_free_matches_traced =
   qcheck ~count:40 ~name:"with_trace:false matches with_trace:true"
     QCheck2.Gen.(int_range 0 1_000_000)

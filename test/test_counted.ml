@@ -1,9 +1,11 @@
-(* Differential tests for the scalable core: the counted fast path must
-   be byte-identical to the concrete per-pair reference engine — same
-   decisions, same rounds, and the exact same message/bit accounting —
-   across all four protocol families, under both the curated adversary
-   pool and randomly generated chaos schedules. Plus regression pins for
-   the concrete path's arena reuse and injection delivery order. *)
+(* Differential tests for the scalable core: the counted round behind
+   [Runtime.run] must be byte-identical to the per-pair reference round
+   behind [Runtime.reference_run] — same decisions, same rounds, the
+   exact same message/bit accounting and the same trace events — across
+   all four protocol families, under both the curated adversary pool and
+   randomly generated chaos schedules (network-side faults included).
+   Plus regression pins for buffer reuse across rounds and injection
+   delivery order. *)
 
 open Helpers
 module Gen = Bap_prediction.Gen
@@ -42,9 +44,12 @@ let unauth_adversaries =
 
 let placements = [| Gen.Uniform; Gen.Focused; Gen.Scattered; Gen.All_wrong |]
 
+(* The n range straddles the size below which [Runtime.run] ignores
+   [group_key] (19), so both the keyed and the unkeyed counted round
+   meet the reference. *)
 let diff_gen =
   QCheck2.Gen.(
-    let* n = int_range 7 13 in
+    let* n = int_range 4 22 in
     let t = (n - 1) / 3 in
     let* f = int_range 0 t in
     let* seed = int_range 0 1_000_000 in
@@ -52,6 +57,22 @@ let diff_gen =
     let* placement = int_range 0 (Array.length placements - 1) in
     let* budget = int_range 0 (2 * n) in
     return (n, t, f, seed, adv, placement, budget))
+
+(* The reference runs of the two wrapper stacks, built from the parts
+   [S.run_unauth] and [S.run_auth] use. *)
+let reference_unauth ?trace ?network ~adversary ~t ~faulty ~inputs ~advice () =
+  S.R.reference_run ?trace ?network ~msg_size:S.W.size_bits ~n:(Array.length inputs)
+    ~faulty ~adversary (fun ctx ->
+      let i = S.R.id ctx in
+      S.Wrapper.run (S.unauth_config ~t) ctx ~t inputs.(i) advice.(i))
+
+let reference_auth ~adversary ~t ~faulty ~inputs ~advice () =
+  let n = Array.length inputs in
+  let pki = Pki.create ~n in
+  S.R.reference_run ~msg_size:S.W.size_bits ~n ~faulty ~adversary:(adversary pki)
+    (fun ctx ->
+      let i = S.R.id ctx in
+      S.Wrapper.run (S.auth_config ~pki ~key:(Pki.key pki i) ~t) ctx ~t inputs.(i) advice.(i))
 
 let setup (n, _t, f, seed, _adv, placement, budget) =
   let rng = Rng.create seed in
@@ -69,9 +90,7 @@ let prop_wrapper_unauth =
          engines different adversaries. *)
       let adversary = unauth_adversaries.(adv) rng in
       let counted = S.run_unauth ~adversary ~t ~faulty ~inputs ~advice () in
-      let concrete =
-        S.run_unauth ~adversary ~mode:`Concrete ~t ~faulty ~inputs ~advice ()
-      in
+      let concrete = reference_unauth ~adversary ~t ~faulty ~inputs ~advice () in
       ignore n;
       outcomes_equal counted concrete)
 
@@ -85,14 +104,14 @@ let prop_wrapper_auth =
         else fun _pki -> unauth_adversaries.(adv) rng
       in
       let counted, _ = S.run_auth ~adversary ~t ~faulty ~inputs ~advice () in
-      let concrete, _ =
-        S.run_auth ~adversary ~mode:`Concrete ~t ~faulty ~inputs ~advice ()
-      in
+      let concrete = reference_auth ~adversary ~t ~faulty ~inputs ~advice () in
       outcomes_equal counted concrete)
 
-let run_baseline ?mode ~n ~faulty ~adversary body =
-  S.R.run ?mode ~msg_size:S.W.size_bits ~group_key:S.W.encode_plain ~n ~faulty
-    ~adversary body
+let run_baseline ~n ~faulty ~adversary body =
+  S.R.run ~msg_size:S.W.size_bits ~group_key:S.W.encode_plain ~n ~faulty ~adversary body
+
+let reference_baseline ~n ~faulty ~adversary body =
+  S.R.reference_run ~msg_size:S.W.size_bits ~n ~faulty ~adversary body
 
 let prop_dolev_strong =
   qcheck ~count:30 ~name:"dolev-strong: counted == concrete" diff_gen
@@ -110,7 +129,7 @@ let prop_dolev_strong =
       in
       let concrete =
         let pki = Pki.create ~n in
-        run_baseline ~mode:`Concrete ~n ~faulty ~adversary (body pki)
+        reference_baseline ~n ~faulty ~adversary (body pki)
       in
       outcomes_equal counted concrete)
 
@@ -124,39 +143,45 @@ let prop_phase_king =
         Pk.run ctx ~gc ~t ~base_tag:0 inputs.(S.R.id ctx)
       in
       let counted = run_baseline ~n ~faulty ~adversary body in
-      let concrete = run_baseline ~mode:`Concrete ~n ~faulty ~adversary body in
+      let concrete = reference_baseline ~n ~faulty ~adversary body in
       outcomes_equal counted concrete)
+
+let chaos_gen =
+  QCheck2.Gen.(
+    let* n = int_range 4 22 in
+    let t = (n - 1) / 3 in
+    let* f = int_range 1 (max 1 t) in
+    let* seed = int_range 0 1_000_000 in
+    let* count = int_range 1 8 in
+    return (n, t, f, seed, count))
+
+(* One chaos configuration: faults, inputs and a schedule whose
+   network-side faults (if any) compile to the [network] hook. *)
+let chaos_setup (n, _t, f, seed, count) =
+  let rng = Rng.create seed in
+  let faulty = random_faulty rng ~n ~f in
+  let advice = Gen.perfect ~n ~faulty in
+  let inputs = Array.init n (fun _ -> Rng.int rng 3) in
+  let schedule = Schedule.gen rng ~n ~faulty ~rounds:40 ~count in
+  let adversary = Inj.adversary ~mutant:Bap_chaos.Fuzz.mutant schedule in
+  (faulty, advice, inputs, adversary, Inj.network schedule)
 
 let prop_chaos_schedules =
-  qcheck ~count:40 ~name:"fuzzed chaos schedules: counted == concrete"
-    QCheck2.Gen.(
-      let* n = int_range 7 13 in
-      let t = (n - 1) / 3 in
-      let* f = int_range 1 (max 1 t) in
-      let* seed = int_range 0 1_000_000 in
-      let* count = int_range 1 8 in
-      return (n, t, f, seed, count))
-    (fun (n, t, f, seed, count) ->
-      let rng = Rng.create seed in
-      let faulty = random_faulty rng ~n ~f in
-      let advice = Gen.perfect ~n ~faulty in
-      let inputs = Array.init n (fun _ -> Rng.int rng 3) in
-      let schedule = Schedule.gen rng ~n ~faulty ~rounds:40 ~count in
-      let adversary = Inj.adversary ~mutant:Bap_chaos.Fuzz.mutant schedule in
-      let counted = S.run_unauth ~adversary ~t ~faulty ~inputs ~advice () in
-      let concrete =
-        S.run_unauth ~adversary ~mode:`Concrete ~t ~faulty ~inputs ~advice ()
-      in
+  qcheck ~count:40 ~name:"fuzzed chaos schedules: counted == concrete" chaos_gen
+    (fun ((_, t, _, _, _) as cfg) ->
+      let faulty, advice, inputs, adversary, network = chaos_setup cfg in
+      let counted = S.run_unauth ~adversary ?network ~t ~faulty ~inputs ~advice () in
+      let concrete = reference_unauth ~adversary ?network ~t ~faulty ~inputs ~advice () in
       outcomes_equal counted concrete)
 
-(* -- arena reuse and delivery-order regression pins -- *)
+(* -- buffer reuse and delivery-order regression pins -- *)
 
 module IR = Bap_sim.Runtime.Make (struct
   type t = int
 end)
 
-(* Messages are tagged with their round; if a cleared arena (or a reused
-   counted-path buffer) ever leaked, a stale tag would show up. *)
+(* Messages are tagged with their round; if a buffer reused across
+   rounds ever leaked, a stale tag would show up. *)
 let no_leak_body rounds ctx =
   let me = IR.id ctx in
   let ok = ref true in
@@ -182,10 +207,10 @@ let prop_arena_no_leak =
     (fun (n, f, seed, concrete) ->
       let rng = Rng.create seed in
       let faulty = random_faulty rng ~n ~f in
-      let mode = if concrete then `Concrete else `Auto in
+      let adversary = Bap_sim.Adversary.passive in
       let outcome =
-        IR.run ~mode ~n ~faulty ~adversary:Bap_sim.Adversary.passive
-          (no_leak_body 12)
+        if concrete then IR.reference_run ~n ~faulty ~adversary (no_leak_body 12)
+        else IR.run ~n ~faulty ~adversary (no_leak_body 12)
       in
       List.for_all snd (IR.honest_decisions outcome))
 
@@ -207,15 +232,18 @@ let inject_order_adversary =
           ());
   }
 
-let test_inject_order mode () =
+let test_inject_order ~reference () =
   (* The puppets' own broadcasts come first, then the injected messages
      in injection order — pinned so D003-style reordering can't creep
      in. *)
+  let body ctx =
+    let inbox = IR.broadcast ctx (100 + IR.id ctx) in
+    (Inbox.get inbox 2, Inbox.get inbox 3)
+  in
+  let n = 5 and faulty = [| 2; 3 |] and adversary = inject_order_adversary in
   let outcome =
-    IR.run ~mode ~n:5 ~faulty:[| 2; 3 |] ~adversary:inject_order_adversary
-      (fun ctx ->
-        let inbox = IR.broadcast ctx (100 + IR.id ctx) in
-        (Inbox.get inbox 2, Inbox.get inbox 3))
+    if reference then IR.reference_run ~n ~faulty ~adversary body
+    else IR.run ~n ~faulty ~adversary body
   in
   let from2, from3 =
     match outcome.IR.decisions.(0) with Some d -> d | None -> Alcotest.fail "no decision"
@@ -245,6 +273,67 @@ let test_counted_shares_inbox () =
       | None -> Alcotest.fail "no decision")
     outcome.IR.decisions
 
+let prop_chaos_traces =
+  qcheck ~count:30 ~name:"chaos schedules: counted trace == reference trace" chaos_gen
+    (fun ((_, t, _, _, _) as cfg) ->
+      let faulty, advice, inputs, adversary, network = chaos_setup cfg in
+      let counted_trace = Bap_sim.Trace.create ~limit:200_000 () in
+      let reference_trace = Bap_sim.Trace.create ~limit:200_000 () in
+      let counted =
+        S.run_unauth ~adversary ?network ~trace:counted_trace ~t ~faulty ~inputs ~advice ()
+      in
+      let concrete =
+        reference_unauth ~adversary ?network ~trace:reference_trace ~t ~faulty ~inputs
+          ~advice ()
+      in
+      outcomes_equal counted concrete
+      && Bap_sim.Trace.events counted_trace = Bap_sim.Trace.events reference_trace
+      && Bap_sim.Trace.dropped counted_trace = Bap_sim.Trace.dropped reference_trace)
+
+(* Every inbox every process reads (per sender, and as weighted votes
+   that read the groups directly), under a network hook that drops,
+   duplicates or reverses a pseudo-random subset of edges (self edges
+   included) and leaves the rest physically unchanged. Payloads repeat
+   across senders, so from n = 19 on the counted round groups them and
+   the rewritten edges must leave their groups. *)
+let prop_network_inboxes =
+  qcheck ~count:60 ~name:"network hook: counted inboxes == reference inboxes"
+    QCheck2.Gen.(
+      let* n = int_range 2 24 in
+      let* f = int_range 0 ((n - 1) / 3) in
+      let* seed = int_range 0 1_000_000 in
+      return (n, f, seed))
+    (fun (n, f, seed) ->
+      let faulty = random_faulty (Rng.create seed) ~n ~f in
+      let network ~round ~src ~dst msgs =
+        match (seed + (round * 7919) + (src * 131) + (dst * 17)) mod 7 with
+        | 0 -> []
+        | 1 -> msgs @ msgs
+        | 2 -> List.rev (0 :: msgs)
+        | _ -> msgs
+      in
+      let body ctx =
+        List.init 6 (fun r ->
+            let me = IR.id ctx in
+            let inbox =
+              if (me + r) mod 5 = 0 then IR.send_to ctx [ ((me + 1) mod n, r) ]
+              else IR.broadcast_list ctx [ (r * 10) + (me mod 3); r ]
+            in
+            let votes = Inbox.first inbox ~f:(fun m -> Some m) in
+            ( Inbox.to_array inbox,
+              Inbox.fold_weighted votes ~init:0 ~f:(fun acc v k -> acc + (v * k)) ))
+      in
+      let adversary = Bap_sim.Adversary.silent_after 3 in
+      let counted =
+        IR.run ~network ~group_key:(fun m -> Some (string_of_int m)) ~n ~faulty ~adversary
+          body
+      in
+      let reference = IR.reference_run ~network ~n ~faulty ~adversary body in
+      counted.IR.decisions = reference.IR.decisions
+      && counted.IR.honest_per_round = reference.IR.honest_per_round
+      && counted.IR.honest_received = reference.IR.honest_received
+      && counted.IR.adversary_sent = reference.IR.adversary_sent)
+
 let suite =
   [
     prop_wrapper_unauth;
@@ -254,7 +343,10 @@ let suite =
     prop_chaos_schedules;
     prop_arena_no_leak;
     Alcotest.test_case "inject order pinned (concrete)" `Quick
-      (test_inject_order `Concrete);
-    Alcotest.test_case "inject order pinned (counted)" `Quick (test_inject_order `Auto);
+      (test_inject_order ~reference:true);
+    Alcotest.test_case "inject order pinned (counted)" `Quick
+      (test_inject_order ~reference:false);
     Alcotest.test_case "counted shares one inbox" `Quick test_counted_shares_inbox;
+    prop_chaos_traces;
+    prop_network_inboxes;
   ]

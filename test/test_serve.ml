@@ -808,6 +808,43 @@ let test_admin_stats_frame () =
     | _ -> Alcotest.fail "flight window empty in stats frame")
   | None -> Alcotest.fail "stats frame missing the flight window"
 
+(* ---------- cancellation and hostile nesting ---------- *)
+
+let test_es_deadline_interrupts () =
+  (* A supervised es instance must observe its watchdog deadline
+     mid-run, as the wrapper families do: its silent adversary ticks the
+     supervisor once per round. n=160 with 53 silent faults runs 270
+     rounds (over 100 ms), so a 10 ms deadline expires long before the
+     instance could finish on its own. *)
+  let spec = { Instance.id = 0; family = Instance.Es; n = 160; f = 53; m = 0; seed = 1 } in
+  let config =
+    { Supervisor.retries = 0; timeout_s = Some 0.01; seed = 0; inject = None }
+  in
+  Supervisor.with_supervisor config (fun sup ->
+      match
+        Supervisor.supervise sup ~key:(Instance.key spec) (fun () -> Instance.execute spec)
+      with
+      | Supervisor.Completed _ -> Alcotest.fail "es instance ran past its deadline"
+      | Supervisor.Quarantined { ledger } -> (
+        match ledger with
+        | [ { Supervisor.kind = Supervisor.Timed_out _; _ } ] -> ()
+        | _ -> Alcotest.fail "expected exactly one Timed_out attempt"))
+
+let test_deep_nesting_frame () =
+  (* The largest frame the codec accepts, all '[': rejected as
+     malformed where the parser passes its nesting bound, without
+     walking (or recursing through) the rest of the megabyte. *)
+  let module Json = Bap_telemetry.Json in
+  let payload = String.make Frame.default_max_len '[' in
+  let frames, tail = Frame.decode_all (Frame.encode payload) in
+  Alcotest.(check bool) "clean tail" true (tail = Frame.Clean);
+  match Instance.parse (List.hd frames) with
+  | Error (`Malformed msg) ->
+    Alcotest.(check string) "stopped at the bound"
+      (Printf.sprintf "nesting deeper than %d at offset %d" Json.max_depth Json.max_depth)
+      msg
+  | Error (`Invalid _) | Ok _ -> Alcotest.fail "deep nesting must be malformed"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
@@ -856,4 +893,8 @@ let suite =
       test_flight_quarantine_dump;
     Alcotest.test_case "serve: admin stats frame outside the ledger" `Quick
       test_admin_stats_frame;
+    Alcotest.test_case "instance: es observes its deadline mid-run" `Quick
+      test_es_deadline_interrupts;
+    Alcotest.test_case "frame: maximum-size nesting is malformed early" `Quick
+      test_deep_nesting_frame;
   ]

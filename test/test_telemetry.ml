@@ -261,6 +261,34 @@ let test_signal_shutdown_flushes () =
   Tel.shutdown ();
   Alcotest.(check bool) "no double flush" false (Sys.file_exists path)
 
+(* ---------- Json escape/parse ---------- *)
+
+let qcheck_escape_roundtrip =
+  QCheck2.Test.make ~count:500 ~name:"JSON: parse inverts escape on any bytes"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 64))
+    (fun s ->
+      match Json.parse ("\"" ^ Json.escape s ^ "\"") with
+      | Json.Str s' -> String.equal s s'
+      | _ -> false)
+
+let test_json_unicode_and_depth () =
+  let str j = Json.to_string (Some (Json.parse j)) in
+  Alcotest.(check (option string)) "escape output" (Some "a\001b\bc")
+    (str ("\"" ^ Json.escape "a\001b\bc" ^ "\""));
+  Alcotest.(check (option string)) "BMP to UTF-8" (Some "\xc3\xa9\xe2\x82\xac")
+    (str {|"\u00e9\u20AC"|});
+  List.iter
+    (fun bad ->
+      match Json.parse bad with
+      | exception Json.Parse _ -> ()
+      | _ -> Alcotest.failf "accepted %s" bad)
+    [ {|"\u12"|}; {|"\u12g4"|}; {|"\ud83d\ude00"|}; {|"\ude00"|} ];
+  let nest k = String.make k '[' ^ String.make k ']' in
+  ignore (Json.parse (nest Json.max_depth));
+  match Json.parse (nest (Json.max_depth + 1)) with
+  | exception Json.Parse _ -> ()
+  | _ -> Alcotest.fail "nesting past max_depth accepted"
+
 let suite =
   [
     Alcotest.test_case "off by default, results identical" `Quick test_off_by_default;
@@ -275,4 +303,7 @@ let suite =
     Alcotest.test_case "metrics merge across domains" `Quick test_metrics_cross_domain;
     Alcotest.test_case "metrics JSON parses" `Quick test_metrics_json_parses;
     Alcotest.test_case "stats JSON parses" `Quick test_stats_json_parses;
+    QCheck_alcotest.to_alcotest qcheck_escape_roundtrip;
+    Alcotest.test_case "JSON: unicode escapes and nesting bound" `Quick
+      test_json_unicode_and_depth;
   ]
